@@ -57,8 +57,9 @@ grant group researchers tunnel site:*
 		t.Fatal(err)
 	}
 
-	// Pick four free ports.
-	ports := freePorts(t, 4)
+	// Pick free ports: one WAN port per site, and for each local_addr the
+	// three consecutive ports it claims.
+	ports := freePorts(t, 1, 3, 1, 3)
 	wanA, localA := ports[0], ports[1]
 	wanB, localB := ports[2], ports[3]
 
@@ -142,21 +143,55 @@ nodes = 2
 	}
 }
 
-// freePorts reserves n distinct TCP ports and releases them.
-func freePorts(t *testing.T, n int) []int {
+// freePorts reserves one run of consecutive free TCP ports per width
+// and returns each run's first port. All runs are held until every one
+// is found, so they never overlap, then released together. A daemon's
+// local_addr claims port, port+1 (node reports) and port+2 (splice), so
+// those need runs of 3: a free first port says nothing about the next
+// two, which another listener may hold when the daemon binds them.
+func freePorts(t *testing.T, widths ...int) []int {
 	t.Helper()
-	var listeners []net.Listener
-	var ports []int
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	var held []net.Listener
+	defer func() {
+		for _, ln := range held {
+			_ = ln.Close()
 		}
-		listeners = append(listeners, ln)
-		ports = append(ports, ln.Addr().(*net.TCPAddr).Port)
+	}()
+	listen := func(port int) net.Listener {
+		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
+		if err != nil {
+			return nil
+		}
+		return ln
 	}
-	for _, ln := range listeners {
-		_ = ln.Close()
+	var ports []int
+	for _, width := range widths {
+		for attempt := 0; ; attempt++ {
+			if attempt == 100 {
+				t.Fatalf("no run of %d free ports after %d attempts", width, attempt)
+			}
+			first := listen(0)
+			if first == nil {
+				continue
+			}
+			base := first.Addr().(*net.TCPAddr).Port
+			run := []net.Listener{first}
+			for i := 1; i < width; i++ {
+				ln := listen(base + i)
+				if ln == nil {
+					break
+				}
+				run = append(run, ln)
+			}
+			if len(run) == width {
+				held = append(held, run...)
+				ports = append(ports, base)
+				break
+			}
+			for _, ln := range run {
+				_ = ln.Close()
+			}
+		}
 	}
 	return ports
 }

@@ -23,6 +23,8 @@ import (
 
 // fenceNode is a NodeHandle fake: Spawn records the rank, Wait blocks
 // until Kill (or ctx), Kill closes the rank's done channel and counts.
+// Spawning a rank again after its kill starts a new copy with a fresh
+// done channel, as a real node starts a new process.
 type fenceNode struct {
 	name string
 
@@ -52,7 +54,15 @@ func (f *fenceNode) Spawn(_ context.Context, spec node.SpawnSpec) (string, error
 	defer f.mu.Unlock()
 	f.spawns++
 	key := rankKey(spec.AppID, spec.Rank)
-	if _, ok := f.done[key]; !ok {
+	alive := false
+	if ch, ok := f.done[key]; ok {
+		select {
+		case <-ch:
+		default:
+			alive = true
+		}
+	}
+	if !alive {
 		f.done[key] = make(chan struct{})
 	}
 	return key, nil

@@ -192,7 +192,7 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 	}
 	// Every staged input must already be in the origin store: destinations
 	// pull the blobs from us during their PrepareSpawn.
-	if err := p.verifyStageRefs(spec.StageIn); err != nil {
+	if err := p.resolveStageRefs(spec.StageIn); err != nil {
 		return nil, err
 	}
 	// All remote sites must be live directory members before any process

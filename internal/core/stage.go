@@ -33,9 +33,11 @@ func (p *Proxy) stageDialer(site string) stage.Dialer {
 	}
 }
 
-// PullBlob fetches one blob from a peer site's store into this proxy's
-// store. A blob already held is a cache hit and transfers nothing.
-func (p *Proxy) PullBlob(ctx context.Context, site, hash string) error {
+// PullBlob fetches the blob ref names from a peer site's store into this
+// proxy's store; ref.Size lays out the stripes without asking the peer
+// first. A blob already held is a cache hit and transfers nothing.
+func (p *Proxy) PullBlob(ctx context.Context, site string, ref proto.StageRef) error {
+	hash := ref.Hash
 	if p.store.Has(hash) {
 		p.reg.Counter(metrics.StageCacheHits).Inc()
 		p.log.Debug("stage cache hit", "site", site, "hash", hash)
@@ -44,13 +46,12 @@ func (p *Proxy) PullBlob(ctx context.Context, site, hash string) error {
 	p.reg.Counter(metrics.StageCacheMisses).Inc()
 	//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
 	start := time.Now()
-	if err := stage.Pull(ctx, p.stageDialer(site), hash, p.store, p.stagecfg, p.reg); err != nil {
+	if err := stage.Pull(ctx, p.stageDialer(site), hash, ref.Size, p.store, p.stagecfg, p.reg); err != nil {
 		p.log.Warn("stage pull failed", "site", site, "hash", hash, "err", err)
 		return err
 	}
-	size, _ := p.store.Stat(hash)
 	//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
-	p.log.Debug("stage pull complete", "site", site, "hash", hash, "bytes", size, "took", time.Since(start))
+	p.log.Debug("stage pull complete", "site", site, "hash", hash, "bytes", ref.Size, "took", time.Since(start))
 	return nil
 }
 
@@ -60,24 +61,27 @@ func (p *Proxy) PullBlob(ctx context.Context, site, hash string) error {
 // inputs are site-local and a warm cache transfers nothing.
 func (p *Proxy) stageIn(ctx context.Context, origin string, refs []proto.StageRef) error {
 	for _, ref := range refs {
-		if err := p.PullBlob(ctx, origin, ref.Hash); err != nil {
+		if err := p.PullBlob(ctx, origin, ref); err != nil {
 			return fmt.Errorf("core: stage in %q: %w", ref.Name, err)
 		}
 	}
 	return nil
 }
 
-// verifyStageRefs checks that every referenced blob is present in this
+// resolveStageRefs checks that every referenced blob is present in this
 // proxy's store — the origin-side precondition for launching a job with
-// staged inputs.
-func (p *Proxy) verifyStageRefs(refs []proto.StageRef) error {
-	for _, ref := range refs {
+// staged inputs — and sets each ref's Size from the store, since
+// destinations lay out their pull stripes by it without asking first.
+func (p *Proxy) resolveStageRefs(refs []proto.StageRef) error {
+	for i, ref := range refs {
 		if ref.Hash == "" {
 			return fmt.Errorf("core: stage ref %q has no hash", ref.Name)
 		}
-		if !p.store.Has(ref.Hash) {
+		size, ok := p.store.Stat(ref.Hash)
+		if !ok {
 			return fmt.Errorf("core: stage ref %q (%s) not in this site's store; put it first", ref.Name, ref.Hash)
 		}
+		refs[i].Size = size
 	}
 	return nil
 }
@@ -141,7 +145,7 @@ func (p *Proxy) JobOutputs(appID string) []proto.StageRef {
 // locally published straight into this store).
 func (p *Proxy) pullOutputs(ctx context.Context, site string, refs []proto.StageRef) {
 	for _, ref := range refs {
-		if err := p.PullBlob(ctx, site, ref.Hash); err != nil {
+		if err := p.PullBlob(ctx, site, ref); err != nil {
 			p.log.Warn("output pull failed", "site", site, "name", ref.Name, "err", err)
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gridproxy/internal/metrics"
+	"gridproxy/internal/proto"
 	"gridproxy/internal/site"
 	"gridproxy/internal/stage"
 	"gridproxy/internal/tunnel"
@@ -118,7 +119,8 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 
 	blob := make([]byte, cfg.BlobBytes)
 	rand.New(rand.NewSource(int64(stripes))).Read(blob)
-	ref := tb.Sites[0].Proxy.Store().Put(blob)
+	put := tb.Sites[0].Proxy.Store().Put(blob)
+	ref := proto.StageRef{Hash: put.Hash, Size: put.Size}
 	dest := tb.Sites[1].Proxy
 
 	row := E10Row{
@@ -129,7 +131,7 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 	}
 
 	start := time.Now()
-	if err := dest.PullBlob(ctx, "origin", ref.Hash); err != nil {
+	if err := dest.PullBlob(ctx, "origin", ref); err != nil {
 		return E10Row{}, fmt.Errorf("cold pull: %w", err)
 	}
 	row.ColdTime = time.Since(start)
@@ -137,7 +139,7 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 	row.ColdMBps = row.BlobMB / row.ColdTime.Seconds()
 
 	start = time.Now()
-	if err := dest.PullBlob(ctx, "origin", ref.Hash); err != nil {
+	if err := dest.PullBlob(ctx, "origin", ref); err != nil {
 		return E10Row{}, fmt.Errorf("warm pull: %w", err)
 	}
 	row.WarmTime = time.Since(start)

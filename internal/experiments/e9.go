@@ -135,11 +135,13 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 		return row, nil
 	}
 	time.Sleep(work / 10)
+	// Time-to-reschedule: kill → the lost ranks respawned elsewhere. The
+	// target is fixed before the kill: the origin can finish rescheduling
+	// while Close is still stopping the victim's node agents.
+	wantRanks := reg.Counter(metrics.RanksRescheduled).Value() + int64(lost)
 	killed := time.Now()
 	tb.Site(victim).Close()
 
-	// Time-to-reschedule: kill → the lost ranks respawned elsewhere.
-	wantRanks := reg.Counter(metrics.RanksRescheduled).Value() + int64(lost)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if reg.Counter(metrics.RanksRescheduled).Value() >= wantRanks {

@@ -25,9 +25,12 @@ import (
 //	get rsp:  uint32 len | status u8, size i64
 //	          then per chunk: uint32 n | sha256(chunk) 32B | n payload bytes
 //
-// The puller knows the exact byte range it asked for, so chunk framing
-// stays in sync even across a chunk whose checksum fails — the bad span
-// is recorded and re-requested after the response completes.
+// The puller knows the blob's size from its StageRef and the exact byte
+// range it asked for, so chunk framing stays in sync even across a chunk
+// whose checksum fails — the bad span is recorded and re-requested after
+// the response completes. A stat costs a round trip of its own, so Pull
+// sends one only for a ref that carries no size; Serve still answers it
+// for the pullers in a mixed-version grid that stat before every pull.
 const (
 	opGet  = 1
 	opStat = 2
@@ -41,8 +44,14 @@ const (
 	maxRequestFrame = 1 << 10
 )
 
-// ErrNotFound reports that the serving store does not hold the blob.
-var ErrNotFound = errors.New("stage: blob not found")
+// Terminal pull errors: retrying cannot change the answer.
+var (
+	// ErrNotFound reports that the serving store does not hold the blob.
+	ErrNotFound = errors.New("stage: blob not found")
+	// ErrSizeMismatch reports that the serving store holds the blob at a
+	// size other than the one the puller's ref names.
+	ErrSizeMismatch = errors.New("stage: blob size differs from ref")
+)
 
 // armRead sets the idle read deadline on conn (idle <= 0 disables).
 func armRead(conn net.Conn, idle time.Duration) {
@@ -120,17 +129,14 @@ func Serve(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry) error
 			if !ok {
 				st = statusNotFound
 			}
-			if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(st, size)); err != nil {
-				return err
-			}
+			err = writeFrame(conn, cfg.IdleTimeout, statusFrame(st, size))
 		case opGet:
-			if err := serveGet(conn, store, cfg, reg, hash, offset, length, chunk); err != nil {
-				return err
-			}
+			err = serveGet(conn, store, cfg, reg, hash, offset, length, chunk)
 		default:
-			if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, 0)); err != nil {
-				return err
-			}
+			err = writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, 0))
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -185,10 +191,10 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 		}
 		loan, ok := store.LoanChunk(hash, pos, n)
 		if !ok {
-			// The blob vanished between the stat and this chunk (evicted
-			// with no spill tier). Breaking the connection mid-response
-			// is the honest signal: the puller's framing would desync on
-			// anything else, and its retry path re-stats.
+			// The blob vanished between the header and this chunk
+			// (evicted with no spill tier). Breaking the connection
+			// mid-response is the honest signal: the puller's framing
+			// would desync on anything else, and its retry path re-asks.
 			return fmt.Errorf("stage: blob %s evicted mid-transfer", short(hash))
 		}
 		payload := loan.Data
@@ -223,27 +229,33 @@ type Dialer func(ctx context.Context) (net.Conn, error)
 // span is a half-open byte range [off, end) still missing from a pull.
 type span struct{ off, end int64 }
 
-// Stat asks the remote store for a blob's size over a fresh connection.
-func Stat(ctx context.Context, dial Dialer, hash string, cfg Config) (int64, bool, error) {
-	cfg = cfg.WithDefaults()
-	conn, err := dialWrapped(ctx, dial, cfg)
-	if err != nil {
-		return 0, false, err
-	}
-	defer conn.Close()
-	size, ok, err := statOn(conn, hash, cfg)
-	return size, ok, err
-}
+// emptyHash names the empty blob, the only one whose size is truly 0.
+var emptyHash = Hash(nil)
 
-func dialWrapped(ctx context.Context, dial Dialer, cfg Config) (net.Conn, error) {
-	conn, err := dial(ctx)
-	if err != nil {
-		return nil, err
+// statSize asks the remote store for a blob's size, redialing after link
+// failures within the pull's retry budget. A missing blob is terminal.
+func statSize(ctx context.Context, dial Dialer, hash string, cfg Config) (int64, error) {
+	var err error
+	for round := 0; round <= cfg.PullRetries; round++ {
+		if cerr := ctx.Err(); cerr != nil {
+			return 0, cerr
+		}
+		var conn net.Conn
+		if conn, err = dialWrapped(ctx, dial, cfg); err != nil {
+			continue
+		}
+		size, ok, serr := statOn(conn, hash, cfg)
+		conn.Close()
+		switch {
+		case serr != nil:
+			err = serr
+		case !ok:
+			return 0, fmt.Errorf("stage: pull %s: %w", short(hash), ErrNotFound)
+		default:
+			return size, nil
+		}
 	}
-	if cfg.WrapConn != nil {
-		conn = cfg.WrapConn(conn)
-	}
-	return conn, nil
+	return 0, fmt.Errorf("stage: stat %s: %w", short(hash), err)
 }
 
 func statOn(conn net.Conn, hash string, cfg Config) (int64, bool, error) {
@@ -275,70 +287,70 @@ func statOn(conn net.Conn, hash string, cfg Config) (int64, bool, error) {
 	}
 }
 
-// Pull fetches the blob named by hash from a remote store into dst,
-// striping the byte range over parallel connections, verifying every
-// chunk checksum, re-requesting corrupt chunks, and resuming from the
-// bytes already received if a connection drops mid-transfer. On success
-// the reassembled blob is verified against hash before entering dst.
-func Pull(ctx context.Context, dial Dialer, hash string, dst *Store, cfg Config, reg *metrics.Registry) error {
+func dialWrapped(ctx context.Context, dial Dialer, cfg Config) (net.Conn, error) {
+	conn, err := dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.WrapConn != nil {
+		conn = cfg.WrapConn(conn)
+	}
+	return conn, nil
+}
+
+// Pull fetches the blob named by hash, whose size the caller knows from
+// its StageRef, from a remote store into dst. It stripes the byte range
+// over parallel connections at once, each sending its get right behind
+// its stream open, verifies every chunk checksum, re-requests corrupt
+// chunks, and resumes from the bytes already received if a connection
+// drops mid-transfer. A blob the remote store does not hold fails with
+// ErrNotFound, one it holds at another size with ErrSizeMismatch; neither
+// is retried. On success the reassembled blob is verified against hash
+// before entering dst.
+//
+// A size of 0 for any blob but the empty one means the ref carries no
+// size (an origin from before refs did forwards what its client sent),
+// and Pull asks the remote store for it first.
+func Pull(ctx context.Context, dial Dialer, hash string, size int64, dst *Store, cfg Config, reg *metrics.Registry) error {
 	cfg = cfg.WithDefaults()
-	// The opening stat shares the transfer's retry budget so a stalled
-	// or flaky peer at the very first byte is handled like one mid-blob.
-	var (
-		conn net.Conn
-		size int64
-	)
-	for round := 0; ; round++ {
-		c, err := dialWrapped(ctx, dial, cfg)
-		if err == nil {
-			var ok bool
-			size, ok, err = statOn(c, hash, cfg)
-			if err == nil && !ok {
-				c.Close()
-				return fmt.Errorf("stage: pull %s: %w", short(hash), ErrNotFound)
-			}
-			if err == nil {
-				conn = c
-				break
-			}
-			c.Close()
-		}
-		if round >= cfg.PullRetries {
-			return fmt.Errorf("stage: stat %s: %w", short(hash), err)
-		}
-		if err := ctx.Err(); err != nil {
+	if size < 0 {
+		return fmt.Errorf("stage: pull %s: negative size %d", short(hash), size)
+	}
+	if size == 0 && hash != emptyHash {
+		var err error
+		if size, err = statSize(ctx, dial, hash, cfg); err != nil {
 			return err
 		}
 	}
 	if size == 0 {
-		conn.Close()
 		return dst.PutHashed(hash, nil)
 	}
+	// The first failed stripe cancels the rest, so a terminal answer is
+	// not followed by the other stripes spending their retry budgets.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	buf := make([]byte, size)
-	stripes := stripeRanges(size, int64(cfg.ChunkSize), cfg.Stripes)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for i, sp := range stripes {
+	for _, sp := range stripeRanges(size, int64(cfg.ChunkSize), cfg.Stripes) {
 		wg.Add(1)
-		// The stat connection is reused for the first stripe; the rest
-		// dial their own stream.
-		var c net.Conn
-		if i == 0 {
-			c = conn
-		}
-		go func(sp span, c net.Conn) {
+		go func(sp span) {
 			defer wg.Done()
-			err := pullRange(ctx, dial, c, hash, buf, sp, cfg, reg)
+			err := pullRange(ctx, dial, hash, buf, sp, cfg, reg)
+			if err == nil {
+				return
+			}
 			mu.Lock()
-			if err != nil && firstErr == nil {
+			if firstErr == nil {
 				firstErr = err
+				cancel()
 			}
 			mu.Unlock()
-		}(sp, c)
+		}(sp)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -376,10 +388,10 @@ func stripeRanges(size, chunk int64, stripes int) []span {
 }
 
 // pullRange fetches one stripe's byte range, retrying corrupt chunks
-// and redialing after link drops until the range is complete or the
-// retry budget runs out. conn, if non-nil, is an already-open
-// connection to use first.
-func pullRange(ctx context.Context, dial Dialer, conn net.Conn, hash string, buf []byte, sp span, cfg Config, reg *metrics.Registry) error {
+// and redialing after link drops until the range is complete, the retry
+// budget runs out, or the serving store gives a terminal answer.
+func pullRange(ctx context.Context, dial Dialer, hash string, buf []byte, sp span, cfg Config, reg *metrics.Registry) error {
+	var conn net.Conn
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -417,6 +429,9 @@ func pullRange(ctx context.Context, dial Dialer, conn net.Conn, hash string, buf
 		var next []span
 		for i, m := range missing {
 			bad, got, err := requestRange(conn, hash, m, buf, cfg, reg)
+			if errors.Is(err, ErrNotFound) || errors.Is(err, ErrSizeMismatch) {
+				return err
+			}
 			received += got
 			next = append(next, bad...)
 			if err != nil {
@@ -446,10 +461,11 @@ func pullRange(ctx context.Context, dial Dialer, conn net.Conn, hash string, buf
 }
 
 // requestRange issues one get for [m.off, m.end) on conn and reads the
-// chunk stream into buf. It returns the spans of chunks that failed
-// their checksum, the verified byte count (contiguous from m.off until
-// the first bad chunk, then continuing after it), and a non-nil error
-// only when the connection itself broke.
+// chunk stream into buf, which is sized to the whole blob. It returns the
+// spans of chunks that failed their checksum, the verified byte count
+// (contiguous from m.off until the first bad chunk, then continuing after
+// it), and a non-nil error when the connection itself broke or the store
+// answered ErrNotFound or ErrSizeMismatch.
 func requestRange(conn net.Conn, hash string, m span, buf []byte, cfg Config, reg *metrics.Registry) ([]span, int64, error) {
 	req := []byte{opGet}
 	req = wire.AppendString(req, hash)
@@ -465,7 +481,7 @@ func requestRange(conn net.Conn, hash string, m span, buf []byte, cfg Config, re
 	}
 	hb := wire.NewBuffer(hdr)
 	status := hb.Uint8()
-	hb.Int64() // total blob size; the puller already knows it
+	size := hb.Int64()
 	if err := hb.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -474,6 +490,9 @@ func requestRange(conn net.Conn, hash string, m span, buf []byte, cfg Config, re
 	}
 	if status != statusOK {
 		return nil, 0, fmt.Errorf("stage: get rejected (status %d)", status)
+	}
+	if size != int64(len(buf)) {
+		return nil, 0, fmt.Errorf("%w: ref names %d bytes, store holds %d", ErrSizeMismatch, len(buf), size)
 	}
 	var (
 		bad      []span

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestPullStriped(t *testing.T) {
 
 	cfg := Config{ChunkSize: 32 << 10, Stripes: 4, IdleTimeout: 2 * time.Second}
 	dial := pipeDialer(src, cfg, reg, nil)
-	if err := Pull(context.Background(), dial, ref.Hash, dst, cfg, reg); err != nil {
+	if err := Pull(context.Background(), dial, ref.Hash, ref.Size, dst, cfg, reg); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := dst.Get(ref.Hash)
@@ -59,14 +60,97 @@ func TestPullStriped(t *testing.T) {
 	}
 }
 
+// TestPullMissingBlob asks for a blob the source does not hold: every
+// stripe dials once and the pull fails with ErrNotFound, with no redial
+// loop spending the retry budget on an answer that cannot change.
 func TestPullMissingBlob(t *testing.T) {
 	src, _ := NewStore(Config{}, nil)
 	dst, _ := NewStore(Config{}, nil)
-	cfg := Config{IdleTimeout: time.Second}
-	dial := pipeDialer(src, cfg, nil, nil)
-	err := Pull(context.Background(), dial, Hash([]byte("nope")), dst, cfg, nil)
+	cfg := Config{ChunkSize: 16 << 10, Stripes: 4, IdleTimeout: time.Second, PullRetries: 8}
+	var dials atomic.Int32
+	dial := pipeDialer(src, cfg, nil, func(conn net.Conn) net.Conn {
+		dials.Add(1)
+		return conn
+	})
+	err := Pull(context.Background(), dial, Hash([]byte("nope")), 1<<20, dst, cfg, nil)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
+	}
+	if n := dials.Load(); n > 4 {
+		t.Fatalf("%d dials for a missing blob over 4 stripes; want at most one each", n)
+	}
+}
+
+// TestPullSizeMismatch pulls with a ref whose size disagrees with the
+// source's copy, larger and smaller: the get header exposes it and the
+// pull fails with ErrSizeMismatch instead of storing anything.
+func TestPullSizeMismatch(t *testing.T) {
+	src, _ := NewStore(Config{}, nil)
+	data := randBlob(t, 256<<10)
+	ref := src.Put(data)
+	cfg := Config{ChunkSize: 16 << 10, Stripes: 4, IdleTimeout: time.Second}
+	dial := pipeDialer(src, cfg, nil, nil)
+	for _, size := range []int64{ref.Size - 1, ref.Size + 1} {
+		dst, _ := NewStore(Config{}, nil)
+		err := Pull(context.Background(), dial, ref.Hash, size, dst, cfg, nil)
+		if !errors.Is(err, ErrSizeMismatch) {
+			t.Fatalf("size %d: want ErrSizeMismatch, got %v", size, err)
+		}
+		if dst.Has(ref.Hash) {
+			t.Fatalf("size %d: mismatched pull stored the blob", size)
+		}
+	}
+}
+
+// TestPullRefWithoutSize pulls with refs that carry no size, as an origin
+// from before refs did forwards them: Pull asks the source for the size,
+// fetches the blob, and still fails fast on a blob the source lacks. The
+// empty blob needs no question at all.
+func TestPullRefWithoutSize(t *testing.T) {
+	src, _ := NewStore(Config{}, nil)
+	data := randBlob(t, 100<<10)
+	ref := src.Put(data)
+	cfg := Config{ChunkSize: 16 << 10, Stripes: 4, IdleTimeout: time.Second, PullRetries: 8}
+	var dials atomic.Int32
+	dial := pipeDialer(src, cfg, nil, func(conn net.Conn) net.Conn {
+		dials.Add(1)
+		return conn
+	})
+	dst, _ := NewStore(Config{}, nil)
+	if err := Pull(context.Background(), dial, ref.Hash, 0, dst, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := dst.Get(ref.Hash); !ok || !bytes.Equal(got, data) {
+		t.Fatal("blob pulled by an unsized ref differs from the source")
+	}
+	dials.Store(0)
+	err := Pull(context.Background(), dial, Hash([]byte("nope")), 0, dst, cfg, nil)
+	if !errors.Is(err, ErrNotFound) || dials.Load() != 1 {
+		t.Fatalf("missing unsized blob: err %v after %d dials, want ErrNotFound after 1", err, dials.Load())
+	}
+	dials.Store(0)
+	if err := Pull(context.Background(), dial, Hash(nil), 0, dst, cfg, nil); err != nil || dials.Load() != 0 {
+		t.Fatalf("empty blob: err %v after %d dials, want none", err, dials.Load())
+	}
+}
+
+// TestServeAnswersStat is the contract with pullers that stat before
+// every pull, as every puller did before refs carried sizes: Serve must
+// keep answering them.
+func TestServeAnswersStat(t *testing.T) {
+	src, _ := NewStore(Config{}, nil)
+	ref := src.Put(randBlob(t, 4<<10))
+	cfg := Config{IdleTimeout: time.Second}
+	conn, err := pipeDialer(src, cfg, nil, nil)(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if size, ok, err := statOn(conn, ref.Hash, cfg); err != nil || !ok || size != ref.Size {
+		t.Fatalf("stat held blob = %d, %v, %v; want %d, true, nil", size, ok, err, ref.Size)
+	}
+	if _, ok, err := statOn(conn, Hash([]byte("nope")), cfg); err != nil || ok {
+		t.Fatalf("stat missing blob = %v, %v; want false, nil", ok, err)
 	}
 }
 
@@ -81,7 +165,7 @@ func TestPullRetriesCorruptChunk(t *testing.T) {
 	corr.Arm(2)
 	cfg := Config{ChunkSize: 16 << 10, Stripes: 2, IdleTimeout: 2 * time.Second}
 	dial := pipeDialer(src, cfg, reg, corr.Wrap)
-	if err := Pull(context.Background(), dial, ref.Hash, dst, cfg, reg); err != nil {
+	if err := Pull(context.Background(), dial, ref.Hash, ref.Size, dst, cfg, reg); err != nil {
 		t.Fatalf("pull should survive corrupt chunks: %v", err)
 	}
 	got, ok := dst.Get(ref.Hash)
@@ -137,7 +221,7 @@ func TestPullResumesAfterLinkDrop(t *testing.T) {
 		}
 		return conn
 	})
-	if err := Pull(context.Background(), dial, ref.Hash, dst, cfg, reg); err != nil {
+	if err := Pull(context.Background(), dial, ref.Hash, ref.Size, dst, cfg, reg); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := dst.Get(ref.Hash)
@@ -167,7 +251,7 @@ func TestPullIdleDeadlineUnsticksStalledPeer(t *testing.T) {
 	cfg := Config{ChunkSize: 16 << 10, Stripes: 1, IdleTimeout: 150 * time.Millisecond, PullRetries: 1}
 	dial := pipeDialer(src, cfg, reg, stall.Wrap)
 	start := time.Now()
-	err := Pull(context.Background(), dial, ref.Hash, dst, cfg, reg)
+	err := Pull(context.Background(), dial, ref.Hash, ref.Size, dst, cfg, reg)
 	if err == nil {
 		t.Fatal("pull against a permanently stalled peer must fail")
 	}
@@ -191,7 +275,7 @@ func TestPullRecoversAfterStallHeals(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		stall.Heal()
 	}()
-	if err := Pull(context.Background(), dial, ref.Hash, dst, cfg, reg); err != nil {
+	if err := Pull(context.Background(), dial, ref.Hash, ref.Size, dst, cfg, reg); err != nil {
 		t.Fatalf("pull should succeed once the stall heals: %v", err)
 	}
 	if got, ok := dst.Get(ref.Hash); !ok || !bytes.Equal(got, data) {

@@ -140,7 +140,7 @@ func TestPullFromSpilledBlob(t *testing.T) {
 
 	dst, _ := NewStore(Config{}, reg)
 	dial := pipeDialer(src, cfg, reg, nil)
-	if err := Pull(context.Background(), dial, ref.Hash, dst, cfg, reg); err != nil {
+	if err := Pull(context.Background(), dial, ref.Hash, ref.Size, dst, cfg, reg); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := dst.Get(ref.Hash)

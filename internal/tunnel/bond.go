@@ -24,7 +24,7 @@ import (
 // so a peer that never bonds sees today's single-connection wire behavior
 // bit for bit.
 //
-// Reliability: every sprayed frame is retained (in a pooled buffer) by
+// Reliability: every sprayed frame is retained (in a seqPayload buffer) by
 // the member that carried it until the receiver's cumulative BONDACK for
 // that connection covers it. wire.Writer assigns Seq-writes their wire
 // position under its own lock, and the receiver counts DATAQ/FINQ
@@ -45,7 +45,7 @@ type sentFrame struct {
 	stream uint32
 	seq    uint64 // per-stream sequence
 	fin    bool
-	buf    []byte // pooled payload; nil for FINQ
+	buf    []byte // seqPayload buffer; nil for FINQ
 }
 
 // frameOverhead approximates per-frame wire overhead for the
@@ -268,20 +268,29 @@ func (s *Session) pickMember() *member {
 // into a single WriteSeqFrames batch (and thus one flush).
 const sprayBatchMax = 32
 
-// sprayFrame hands one sequenced frame (taking ownership of buf, a pooled
-// payload, or nil for FINQ) to the least-loaded live member's send queue.
-// It returns as soon as the frame is queued — the member's sendLoop
-// batches queued frames into single flushes, so spraying is paced by
-// window credit rather than by flush latency. A write failure surfaces
-// through memberFailed (failover resprays the frame); the caller only
-// sees an error when no live member remains.
-func (s *Session) sprayFrame(stream uint32, seq uint64, fin bool, buf []byte) error {
-	f := sentFrame{stream: stream, seq: seq, fin: fin, buf: buf}
+// sprayFrame hands one sequenced frame (taking ownership of f.buf, a
+// seqPayload buffer, or nil for FINQ) to the least-loaded live member's
+// send queue. It returns as soon as the frame is queued — the member's
+// sendLoop batches queued frames into single flushes, so spraying is
+// paced by window credit rather than by flush latency. A write failure
+// surfaces through memberFailed (failover resprays the frame); the caller
+// only sees an error when no live member remains.
+//
+// A pinned frame belongs to a stream whose SYNACK has not arrived yet and
+// goes only to the primary, the connection that carried the SYN. Sprayed
+// elsewhere it could reach the peer before the stream exists there, be
+// dropped as unknown and still be acknowledged by BONDACK.
+func (s *Session) sprayFrame(f sentFrame, pinned bool) error {
 	for {
-		m := s.pickMember()
+		var m *member
+		if !pinned {
+			m = s.pickMember()
+		} else if p := s.liveMembers()[0]; !p.dead.Load() {
+			m = p
+		}
 		if m == nil {
-			if buf != nil {
-				wire.PutPayload(buf)
+			if f.buf != nil {
+				wire.PutPayload(f.buf)
 			}
 			return s.closeErr()
 		}
@@ -386,7 +395,9 @@ func (m *member) sendLoop() {
 func (s *Session) resprayFrames(pend []sentFrame) {
 	for i, f := range pend {
 		s.bondRetransmit.Inc()
-		if err := s.sprayFrame(f.stream, f.seq, f.fin, f.buf); err != nil {
+		// Only a dead primary strands pinned frames, and its death ends the
+		// session, so nothing here needs pinning.
+		if err := s.sprayFrame(f, false); err != nil {
 			for _, g := range pend[i+1:] {
 				if g.buf != nil {
 					wire.PutPayload(g.buf)
@@ -397,14 +408,11 @@ func (s *Session) resprayFrames(pend []sentFrame) {
 	}
 }
 
-// sendSeqData copies p into a pooled buffer (it must outlive the caller's
-// Write for possible retransmit) and sprays it as the stream's next
-// sequenced frame.
-func (s *Session) sendSeqData(st *Stream, p []byte) error {
-	buf := wire.GetPayload(len(p))
-	copy(buf, p)
-	seq := st.sendSeq.Add(1) - 1
-	return s.sprayFrame(st.id, seq, false, buf)
+// sendSeq sprays buf (a seqPayload buffer, or nil for FIN) as the stream's
+// next sequenced frame, pinned to the primary until the SYNACK arrives.
+func (st *Stream) sendSeq(fin bool, buf []byte) error {
+	f := sentFrame{stream: st.id, seq: st.nextSendSeq.Add(1) - 1, fin: fin, buf: buf}
+	return st.session.sprayFrame(f, !st.synAcked.Load())
 }
 
 // memberFailed removes a dead secondary from the bond and resprays its
@@ -417,7 +425,7 @@ func (s *Session) memberFailed(m *member, err error) {
 	}
 	m.qcond.Broadcast()
 	if m.index == 0 {
-		_ = s.fail(fmt.Errorf("tunnel: bond primary failed: %w", err))
+		_ = s.writeFailed(fmt.Errorf("tunnel: bond primary failed: %w", err))
 		return
 	}
 	s.bondMu.Lock()

@@ -13,11 +13,27 @@ import (
 	"gridproxy/internal/wire"
 )
 
+// pooledFrameMin is the smallest sequenced frame payload held in a pooled
+// 64 KiB lease (see seqPayload).
+const pooledFrameMin = 32 << 10
+
+// seqPayload returns an n-byte buffer for a sequenced frame payload that
+// outlives the call: the sender's retransmit copy or the receiver's
+// parked early frame. Large payloads take a pooled lease; smaller ones a
+// buffer of their own size, so the memory held per frame stays within
+// twice its bytes however small the writes. wire.PutPayload releases
+// either kind, dropping the buffers that never came from the pool.
+func seqPayload(n int) []byte {
+	if n >= pooledFrameMin {
+		return wire.GetPayload(n)
+	}
+	return make([]byte, n)
+}
+
 // oooFrame is one out-of-order sequenced frame parked for reassembly: the
-// payload was copied into its own pooled lease (buf), released when the
+// payload was copied into a buffer of its own (buf), released when the
 // frame drains in order. fin entries carry no payload.
 type oooFrame struct {
-	seq uint64
 	buf []byte
 	fin bool
 }
@@ -38,12 +54,13 @@ type Stream struct {
 	// stream ever switches framing mid-flight. Receivers handle both
 	// framings on any stream regardless.
 	bonded bool
-	// openResult delivers the peer's SYNACK/RST verdict to Open.
-	openResult chan bool
-	openOnce   sync.Once
+	// synAcked is set once the peer is known to hold its side of the
+	// stream: at creation for accepted streams, on the SYNACK for opened
+	// ones. Until then sequenced frames stay on the primary behind the SYN.
+	synAcked atomic.Bool
 
-	// sendSeq numbers this stream's outbound sequenced frames.
-	sendSeq atomic.Uint64
+	// nextSendSeq numbers this stream's outbound sequenced frames.
+	nextSendSeq atomic.Uint64
 
 	// Receive side. Window accounting is kept as three monotonic totals:
 	// extended is all credit ever granted to the peer (seeded with the
@@ -68,10 +85,10 @@ type Stream struct {
 	grantInFlight bool
 	readDeadline  time.Time
 	// Reassembly of sequenced frames: nextSeq is the next in-order
-	// sequence, ooo a min-heap (by seq) of frames that arrived early,
+	// sequence, ooo the frames that arrived early keyed by seq,
 	// oooBytes their payload total (counted against the window).
 	nextSeq  uint64
-	ooo      []oooFrame
+	ooo      map[uint64]oooFrame
 	oooBytes int
 
 	// Send side.
@@ -90,7 +107,6 @@ func newStream(s *Session, id uint32) *Stream {
 		session:    s,
 		id:         id,
 		bonded:     s.bondActive.Load(),
-		openResult: make(chan bool, 1),
 		sendWindow: s.cfg.Window,
 		extended:   int64(s.cfg.Window),
 	}
@@ -104,10 +120,6 @@ func (st *Stream) ID() uint32 { return st.id }
 
 // Meta returns the metadata the opener attached (nil on the opening side).
 func (st *Stream) Meta() []byte { return st.meta }
-
-func (st *Stream) notifyOpen(ok bool) {
-	st.openOnce.Do(func() { st.openResult <- ok })
-}
 
 // deliver appends inbound data and wakes readers. It enforces the receive
 // window: a peer overrunning its credit is a protocol violation.
@@ -129,11 +141,19 @@ func (st *Stream) deliver(p []byte) error {
 }
 
 // deliverSeq accepts one sequenced frame (bonded framing): in-order data
-// is buffered immediately and the reorder heap drained behind it;
-// early frames are copied into their own pooled lease and parked; frames
-// at an already-delivered sequence are retransmit duplicates and dropped.
-// fin frames occupy a sequence slot so EOF cannot overtake data still in
-// flight on another member connection.
+// is buffered immediately and the parked frames drained behind it;
+// early frames are copied into a buffer of their own and parked; frames
+// at an already-delivered or already-parked sequence are retransmit
+// duplicates and dropped. fin frames occupy a sequence slot so EOF cannot
+// overtake data still in flight on another member connection.
+//
+// Parked state is bounded by the credit outstanding, which an honest
+// sender never exceeds. Parked bytes count against the window like
+// delivered ones. And every non-fin frame carries at least one byte
+// (dispatch rejects empty DATAQ), so each of the frames from nextSeq up
+// to an early frame holds a byte of that credit: a frame farther ahead
+// than the credit allows kills the session, which caps the parked frame
+// count at the credit too.
 func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
 	st.recvMu.Lock()
 	defer st.recvMu.Unlock()
@@ -155,8 +175,12 @@ func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
 		}
 		st.nextSeq++
 		// Drain every parked frame that is now in order.
-		for len(st.ooo) > 0 && st.ooo[0].seq == st.nextSeq {
-			f := oooPop(&st.ooo)
+		for len(st.ooo) > 0 {
+			f, ok := st.ooo[st.nextSeq]
+			if !ok {
+				break
+			}
+			delete(st.ooo, st.nextSeq)
 			if f.fin {
 				st.recvEOF = true
 			} else {
@@ -172,70 +196,36 @@ func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
 		st.recvCond.Broadcast()
 		return nil
 	}
-	// Early. Duplicate of a parked frame? The heap is small (bounded by
-	// window / segment size), so a linear scan beats a map's allocation.
-	for i := range st.ooo {
-		if st.ooo[i].seq == seq {
-			return nil
-		}
+	// Early.
+	if _, dup := st.ooo[seq]; dup {
+		return nil
 	}
 	if st.delivered+int64(st.oooBytes)+int64(len(p)) > st.extended {
 		return fmt.Errorf("tunnel: stream %d receive window overrun", st.id)
 	}
-	f := oooFrame{seq: seq, fin: fin}
+	// Frames nextSeq..seq-1 are all still missing, and so is this one's
+	// payload unless it is the fin: each needs a byte of credit.
+	need := seq - st.nextSeq
 	if !fin {
-		// Copy into our own lease: the dispatch loop releases its read
-		// buffer the moment dispatch returns.
-		f.buf = wire.GetPayload(len(p))
+		need++
+	}
+	if need > uint64(st.extended-st.delivered) {
+		return fmt.Errorf("tunnel: stream %d frame %d too far ahead of %d for %d bytes of credit",
+			st.id, seq, st.nextSeq, st.extended-st.delivered)
+	}
+	f := oooFrame{fin: fin}
+	if !fin {
+		// Copy: the dispatch loop releases its read buffer the moment
+		// dispatch returns.
+		f.buf = seqPayload(len(p))
 		copy(f.buf, p)
 		st.oooBytes += len(p)
 	}
-	oooPush(&st.ooo, f)
+	if st.ooo == nil {
+		st.ooo = make(map[uint64]oooFrame)
+	}
+	st.ooo[seq] = f
 	return nil
-}
-
-// oooPush / oooPop maintain a min-heap by seq in place (hand-rolled so
-// the hot path stays free of interface dispatch and allocation; the
-// backing array is reused across the stream's life).
-func oooPush(h *[]oooFrame, f oooFrame) {
-	*h = append(*h, f)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].seq <= s[i].seq {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func oooPop(h *[]oooFrame) oooFrame {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = oooFrame{}
-	s = s[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && s[l].seq < s[small].seq {
-			small = l
-		}
-		if r < len(s) && s[r].seq < s[small].seq {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	*h = s
-	return top
 }
 
 func (st *Stream) deliverEOF() {
@@ -255,7 +245,6 @@ func (st *Stream) grantSendWindow(delta int) {
 
 // closeWithError fails both directions (session teardown, RST).
 func (st *Stream) closeWithError(err error) {
-	st.notifyOpen(false)
 	st.recvMu.Lock()
 	if st.recvErr == nil {
 		st.recvErr = err
@@ -272,16 +261,15 @@ func (st *Stream) closeWithError(err error) {
 	st.sendMu.Unlock()
 }
 
-// releaseOOOLocked returns parked reassembly buffers to the pool. Caller
-// holds recvMu.
+// releaseOOOLocked returns parked reassembly buffers to the pool (PutPayload
+// drops the ones that never came from it). Caller holds recvMu.
 func (st *Stream) releaseOOOLocked() {
-	for i := range st.ooo {
-		if st.ooo[i].buf != nil {
-			wire.PutPayload(st.ooo[i].buf)
+	for _, f := range st.ooo {
+		if f.buf != nil {
+			wire.PutPayload(f.buf)
 		}
-		st.ooo[i] = oooFrame{}
 	}
-	st.ooo = st.ooo[:0]
+	st.ooo = nil
 	st.oooBytes = 0
 }
 
@@ -377,14 +365,17 @@ func (st *Stream) Write(p []byte) (int, error) {
 			return total, err
 		}
 		if st.bonded {
-			if err := st.session.sendSeqData(st, p[:n]); err != nil {
+			// The copy outlives this Write for possible retransmit.
+			buf := seqPayload(n)
+			copy(buf, p[:n])
+			if err := st.sendSeq(false, buf); err != nil {
 				return total, err
 			}
 		} else {
 			var hdr [4]byte
 			if err := st.session.w.WriteFramev(frameDATA,
 				wire.AppendUint32(hdr[:0], st.id), p[:n]); err != nil {
-				return total, st.session.fail(fmt.Errorf("tunnel: send DATA: %w", err))
+				return total, st.session.writeFailed(fmt.Errorf("tunnel: send DATA: %w", err))
 			}
 		}
 		total += n
@@ -416,9 +407,9 @@ func (st *Stream) WriteBuffers(segs ...[]byte) (int64, error) {
 			return total, err
 		}
 		if st.bonded {
-			// Gather the segments straight into the pooled retransmit
-			// buffer and spray it.
-			buf := wire.GetPayload(n)
+			// Gather the segments straight into the retransmit buffer
+			// and spray it.
+			buf := seqPayload(n)
 			w := 0
 			for w < n {
 				seg := segs[i][off:]
@@ -430,8 +421,7 @@ func (st *Stream) WriteBuffers(segs ...[]byte) (int64, error) {
 				off += take
 				w += take
 			}
-			seq := st.sendSeq.Add(1) - 1
-			if err := st.session.sprayFrame(st.id, seq, false, buf); err != nil {
+			if err := st.sendSeq(false, buf); err != nil {
 				return total, err
 			}
 			total += int64(n)
@@ -457,7 +447,7 @@ func (st *Stream) WriteBuffers(segs ...[]byte) (int64, error) {
 			k -= take
 		}
 		if err := st.session.w.WriteFramev(frameDATA, parts...); err != nil {
-			return total, st.session.fail(fmt.Errorf("tunnel: send DATA: %w", err))
+			return total, st.session.writeFailed(fmt.Errorf("tunnel: send DATA: %w", err))
 		}
 		total += int64(n)
 		remaining -= n
@@ -518,10 +508,15 @@ func (st *Stream) waitSendLocked() bool {
 }
 
 // CloseWrite half-closes the stream: the peer sees EOF after draining.
+// On a stream the peer refused it reports ErrStreamRefused.
 func (st *Stream) CloseWrite() error {
 	st.sendMu.Lock()
 	if st.sendClosed {
+		err := st.sendErr
 		st.sendMu.Unlock()
+		if err == ErrStreamRefused {
+			return err
+		}
 		return nil
 	}
 	st.sendClosed = true
@@ -530,8 +525,7 @@ func (st *Stream) CloseWrite() error {
 	if st.bonded {
 		// FIN takes a sequence slot so it cannot overtake data in flight
 		// on another member connection.
-		seq := st.sendSeq.Add(1) - 1
-		return st.session.sprayFrame(st.id, seq, true, nil)
+		return st.sendSeq(true, nil)
 	}
 	return st.session.w.WriteFrame(frameFIN, wire.AppendUint32(nil, st.id))
 }

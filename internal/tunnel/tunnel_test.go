@@ -20,6 +20,12 @@ import (
 // pair builds a connected client/server session over the in-memory network.
 func pair(t *testing.T, cfg Config) (*Session, *Session) {
 	t.Helper()
+	return pairWith(t, cfg, cfg)
+}
+
+// pairWith is pair with separate client and server configs.
+func pairWith(t *testing.T, clientCfg, serverCfg Config) (*Session, *Session) {
+	t.Helper()
 	mem := transport.NewMemNetwork()
 	ln, err := mem.Listen("peer")
 	if err != nil {
@@ -42,8 +48,8 @@ func pair(t *testing.T, cfg Config) (*Session, *Session) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	client := Client(clientConn, cfg)
-	server := Server(r.conn, cfg)
+	client := Client(clientConn, clientCfg)
+	server := Server(r.conn, serverCfg)
 	t.Cleanup(func() {
 		_ = client.Close()
 		_ = server.Close()
@@ -453,26 +459,55 @@ func TestMetricsCounted(t *testing.T) {
 	}
 }
 
+// TestAcceptBacklogRefusesExcessStreams opens five streams to a server
+// that accepts none, once with a full accept backlog and once with a full
+// stream table: the first two SYNs are taken and the rest refused. Open
+// does not wait for the verdict, so the refusal shows on each refused
+// stream's first Read.
 func TestAcceptBacklogRefusesExcessStreams(t *testing.T) {
-	client, _ := pair(t, Config{AcceptBacklog: 2})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	// Nobody accepts on the server; the third open must be refused.
-	var refused int
-	for i := 0; i < 5; i++ {
-		if _, err := client.Open(ctx, nil); errors.Is(err, ErrStreamRefused) {
-			refused++
-		}
-	}
-	if refused == 0 {
-		t.Error("expected at least one refused stream with tiny backlog")
+	for _, tc := range []struct {
+		name   string
+		server Config
+	}{
+		{"backlog", Config{AcceptBacklog: 2}},
+		{"max-streams", Config{MaxStreams: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, _ := pairWith(t, Config{}, tc.server)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			var streams []*Stream
+			for i := 0; i < 5; i++ {
+				st, err := client.Open(ctx, nil)
+				if err != nil {
+					t.Fatalf("open %d: %v", i, err)
+				}
+				streams = append(streams, st)
+			}
+			for i, st := range streams[2:] {
+				if _, err := st.Read(make([]byte, 1)); !errors.Is(err, ErrStreamRefused) {
+					t.Errorf("stream %d first Read = %v, want ErrStreamRefused", i+2, err)
+				}
+			}
+			if n := client.NumStreams(); n != 2 {
+				t.Errorf("NumStreams = %d after refusals, want 2", n)
+			}
+		})
 	}
 }
 
 // rawPeer gives a test direct frame-level access to one side of a
 // session, for protocol-violation injection.
 func rawPeer(t *testing.T) (*Session, net.Conn) {
+	t.Helper()
+	conn, raw := memConnPair(t)
+	session := Server(conn, Config{Window: 8 << 10})
+	t.Cleanup(func() { _ = session.Close() })
+	return session, raw
+}
+
+// memConnPair returns the two ends of one in-memory connection.
+func memConnPair(t *testing.T) (net.Conn, net.Conn) {
 	t.Helper()
 	mem := transport.NewMemNetwork()
 	ln, err := mem.Listen("peer")
@@ -490,10 +525,83 @@ func rawPeer(t *testing.T) (*Session, net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverConn := <-connCh
-	session := Server(serverConn, Config{Window: 8 << 10})
+	return <-connCh, raw
+}
+
+// gatedConn fails every write as a connection whose peer hung up does,
+// and holds its reads back until gate closes, so a test can make a
+// session's write fail before its read loop has seen why.
+type gatedConn struct {
+	net.Conn
+	gate chan struct{}
+}
+
+func (g *gatedConn) Read(p []byte) (int, error) {
+	<-g.gate
+	return g.Conn.Read(p)
+}
+
+func (g *gatedConn) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// gatedSession starts a server session over a gatedConn whose peer, the
+// raw end, has closed (after a GOAWAY if goaway is set), and makes the
+// session write once.
+func gatedSession(t *testing.T, goaway bool) (*Session, chan struct{}) {
+	t.Helper()
+	conn, raw := memConnPair(t)
+	gc := &gatedConn{Conn: conn, gate: make(chan struct{})}
+	session := Server(gc, Config{})
 	t.Cleanup(func() { _ = session.Close() })
-	return session, raw
+	if goaway {
+		if err := wire.NewWriter(raw).WriteControl(frameGOAWAY, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = raw.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := session.Ping(ctx); err == nil {
+		t.Fatal("Ping over a closed connection succeeded")
+	}
+	return session, gc.gate
+}
+
+// TestWriteFailureAfterGoawayEndsSessionClosed: the peer says GOAWAY and
+// hangs up, and the session's next write fails before its read loop has
+// reached the goodbye. The session must still end as ErrSessionClosed,
+// the clean hang-up it was, not with the write error.
+func TestWriteFailureAfterGoawayEndsSessionClosed(t *testing.T) {
+	session, gate := gatedSession(t, true)
+	close(gate)
+	select {
+	case <-session.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("session outlived its peer")
+	}
+	// Err reports a clean ErrSessionClosed as nil.
+	if err := session.Err(); err != nil {
+		t.Fatalf("Err = %v, want a clean close", err)
+	}
+}
+
+// TestWriteFailureWithoutGoodbyeEndsSession: the write fails and the read
+// side reports nothing at all. The session must end with the write error
+// once the grace runs out rather than wait for a read that never comes.
+func TestWriteFailureWithoutGoodbyeEndsSession(t *testing.T) {
+	start := time.Now()
+	session, gate := gatedSession(t, false)
+	defer close(gate)
+	select {
+	case <-session.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("session waits on its read side for good")
+	}
+	if d := time.Since(start); d < writeFailGrace {
+		t.Errorf("session ended after %v, inside the %v grace", d, writeFailGrace)
+	}
+	if err := session.Err(); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("Err = %v, want the write error", err)
+	}
 }
 
 func TestWindowOverrunKillsSession(t *testing.T) {
@@ -613,8 +721,16 @@ func TestMaxStreamsEnforced(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var lastErr error
 	for time.Now().Before(deadline) {
-		if _, lastErr = client.Open(ctx, nil); lastErr == nil {
-			break
+		// Open does not wait for the SYNACK; the Ping's PONG follows the
+		// server's verdict on the SYN, so after it a refusal has landed
+		// and the first Write reports it.
+		var st *Stream
+		if st, lastErr = client.Open(ctx, nil); lastErr == nil {
+			if lastErr = client.Ping(ctx); lastErr == nil {
+				if _, lastErr = st.Write([]byte{1}); lastErr == nil {
+					break
+				}
+			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
