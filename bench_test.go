@@ -445,6 +445,9 @@ func BenchmarkE1CrossSiteLatency(b *testing.B) {
 // BenchmarkTunnelWindowSizes ablates the per-stream flow-control window:
 // too small and the sender stalls waiting for WINDOW credits; large
 // windows approach raw connection throughput at the cost of buffering.
+// Every stream starts with tunnel.DefaultWindow of credit, so the
+// ablated window binds once the stream has moved its first 256 KiB;
+// the one stream here lives for the whole run.
 func BenchmarkTunnelWindowSizes(b *testing.B) {
 	for _, window := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
 		b.Run(fmt.Sprintf("window=%dKiB", window>>10), func(b *testing.B) {
@@ -455,7 +458,7 @@ func BenchmarkTunnelWindowSizes(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			cfg := tunnel.Config{Window: window}
+			cfg := tunnel.Config{WindowMin: window, WindowMax: window}
 			sessCh := make(chan *tunnel.Session, 1)
 			go func() {
 				conn, err := ln.Accept()

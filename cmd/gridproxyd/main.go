@@ -89,14 +89,18 @@
 //	chunk_size        = 262144      # transfer checksum/retry unit in bytes
 //	stripes           = 4           # parallel streams per cross-site pull
 //
-// Tunnel knobs (all optional; see internal/tunnel defaults). Proxies run
-// RTT-adaptive flow control by default; bonding engages only when BOTH
-// ends configure bond_conns > 1, and a peer predating the BOND extension
-// negotiates down to a single connection automatically:
+// Tunnel knobs (all optional; see internal/tunnel defaults). Per-stream
+// windows follow the measured bandwidth-delay product within
+// [window_min, window_max]; equal values pin a static window. Each
+// site's range is its own: every stream starts with 262144 bytes of
+// credit on both ends, and each receiver's grants then follow its range.
+// Bonding engages only when BOTH ends configure bond_conns > 1; otherwise
+// a peer tunnel is a bond of one connection. All proxies of a grid must
+// share the tunnel framing of DESIGN.md §19.1:
 //
 //	bond_conns        = 1           # parallel connections per peer tunnel
-//	window_min        = 65536       # adaptive per-stream window floor
-//	window_max        = 4194304     # adaptive per-stream window ceiling
+//	window_min        = 65536       # per-stream window floor
+//	window_max        = 4194304     # per-stream window ceiling
 //	bdp_gain          = 2.0         # window as multiple of measured BDP
 package main
 
@@ -447,8 +451,7 @@ func stageFromConfig(cfg *config.Config) (stage.Config, error) {
 }
 
 // tunnelFromConfig reads the inter-site session knobs. Absent keys stay
-// zero so the tunnel defaults apply (and core turns adaptive flow
-// control on).
+// zero so the tunnel defaults apply.
 func tunnelFromConfig(cfg *config.Config) (tunnel.Config, error) {
 	var tc tunnel.Config
 	var err error

@@ -419,7 +419,7 @@ type closeWriter interface{ CloseWrite() error }
 // when supported, and closes both when done. Copy buffers are leased from
 // the wire payload pool (sized to a full tunnel segment) instead of
 // io.Copy's per-call 32 KiB allocation, so long-lived splices cost no
-// steady-state allocation and each read fills a whole DATA frame.
+// steady-state allocation and each read fills a whole data frame.
 func (p *Proxy) splice(a, b net.Conn) {
 	var wg sync.WaitGroup
 	copyDir := func(dst, src net.Conn) {

@@ -81,6 +81,36 @@ func TestStatusSubset(t *testing.T) {
 	}
 }
 
+// TestFreshStatusNamesUnreachableSite stops one requested site's proxy:
+// FreshStatus must still answer for the others and report the answer as
+// partial, naming the stopped site, rather than pass it off as complete.
+func TestFreshStatusNamesUnreachableSite(t *testing.T) {
+	tb := newGrid(t, nil, 1, 1, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := tb.Sites[2].Proxy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	summaries, err := tb.Sites[0].Proxy.FreshStatus(ctx, []string{"sitea", "siteb", "sitec"})
+	var partial *core.PartialStatusError
+	if !errors.As(err, &partial) {
+		t.Fatalf("FreshStatus error = %v, want a *core.PartialStatusError", err)
+	}
+	if len(partial.Missing) != 1 || partial.Missing[0].Site != "sitec" || partial.Missing[0].Err == nil {
+		t.Fatalf("missing = %+v, want only sitec with its error", partial.Missing)
+	}
+	if !strings.Contains(err.Error(), "sitec") {
+		t.Errorf("error %q does not name sitec", err)
+	}
+	var got []string
+	for _, s := range summaries {
+		got = append(got, s.Site)
+	}
+	if len(got) != 2 || got[0] != "sitea" || got[1] != "siteb" {
+		t.Fatalf("summaries cover %v, want [sitea siteb]", got)
+	}
+}
+
 func TestCandidatesSeeAllSites(t *testing.T) {
 	tb := newGrid(t, nil, 2, 2)
 	candidates := tb.Sites[0].Proxy.Candidates()

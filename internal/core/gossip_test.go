@@ -100,10 +100,10 @@ func TestSingleBootstrapLearnsGrid(t *testing.T) {
 
 	// FreshStatus still reaches every site directly, dialing on demand
 	// through the directory (site addresses learned by gossip, not
-	// operator config).
+	// operator config). A site it misses is named in its error.
 	fresh, err := leaf.FreshStatus(ctx, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("leaf fresh status: %v", err)
 	}
 	if len(fresh) != n {
 		t.Fatalf("leaf fresh status covers %d sites, want %d", len(fresh), n)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -178,8 +179,9 @@ func TestStatusWithHungPeer(t *testing.T) {
 	start := time.Now()
 	summaries, err := proxyA.FreshStatus(ctx, nil)
 	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+	var partial *core.PartialStatusError
+	if !errors.As(err, &partial) || len(partial.Missing) != 1 || partial.Missing[0].Site != "sitec" {
+		t.Fatalf("FreshStatus error = %v, want a partial answer missing only sitec", err)
 	}
 	if elapsed > 3*time.Second {
 		t.Fatalf("Status took %v with a hung peer; per-peer deadline not enforced", elapsed)

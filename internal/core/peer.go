@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -733,6 +735,11 @@ func (p *Proxy) Status(ctx context.Context, sites []string) ([]monitor.SiteSumma
 // this-second numbers. Queries fan out concurrently with a per-peer
 // deadline, so the wall-clock cost is O(slowest healthy peer) and a hung
 // peer costs at most its deadline.
+//
+// A site it could not reach, and a site requested by name that is not a
+// live member, is left out of the summaries and named in a
+// *PartialStatusError returned with them, so a partial answer never
+// passes as complete.
 func (p *Proxy) FreshStatus(ctx context.Context, sites []string) ([]monitor.SiteSummary, error) {
 	include := includeFunc(sites)
 	var out []monitor.SiteSummary
@@ -745,6 +752,12 @@ func (p *Proxy) FreshStatus(ctx context.Context, sites []string) ([]monitor.Site
 	for _, e := range p.members.Entries() {
 		if e.Site != p.site && include(e.Site) && e.State != membership.Dead && e.Addr != "" {
 			targets = append(targets, e.Site)
+		}
+	}
+	var partial PartialStatusError
+	for _, site := range sites {
+		if site != p.site && !slices.Contains(targets, site) {
+			partial.Missing = append(partial.Missing, SiteError{site, errNotLiveMember})
 		}
 	}
 	results := peerlink.FanOut(ctx, targets, p.perPeerTimeout(), func(ctx context.Context, site string) (monitor.SiteSummary, error) {
@@ -788,12 +801,44 @@ func (p *Proxy) FreshStatus(ctx context.Context, sites []string) ([]monitor.Site
 		if res.Err != nil {
 			p.suspectSite(res.Target)
 			p.log.Warn("status query failed", "peer", res.Target, "err", res.Err)
+			partial.Missing = append(partial.Missing, SiteError{res.Target, res.Err})
 			continue
 		}
 		out = append(out, res.Value)
 	}
 	sortSummaries(out)
+	if len(partial.Missing) > 0 {
+		sort.Slice(partial.Missing, func(i, j int) bool { return partial.Missing[i].Site < partial.Missing[j].Site })
+		return out, &partial
+	}
 	return out, nil
+}
+
+// errNotLiveMember is the reason a site requested by name is missing from
+// a FreshStatus answer when the directory holds no live entry for it.
+var errNotLiveMember = errors.New("not a live member with an address")
+
+// SiteError names one site missing from an answer and why.
+type SiteError struct {
+	Site string
+	Err  error
+}
+
+// PartialStatusError reports the sites a FreshStatus answer is missing.
+// The summaries returned with it cover every other requested site.
+type PartialStatusError struct {
+	// Missing holds each missing site, sorted by name, with the last
+	// error its query saw.
+	Missing []SiteError
+}
+
+func (e *PartialStatusError) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "core: status answer missing %d site(s)", len(e.Missing))
+	for _, m := range e.Missing {
+		fmt.Fprintf(&b, "; %s: %v", m.Site, m.Err)
+	}
+	return b.String()
 }
 
 // includeFunc builds the site filter status compilations share: an empty

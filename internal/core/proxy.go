@@ -124,11 +124,10 @@ type Config struct {
 	// size, stripes, idle timeout). The zero value uses stage defaults.
 	Stage stage.Config
 	// Tunnel carries the inter-site session knobs: bond width
-	// (BondConns), adaptive-window clamps (WindowMin/WindowMax/BDPGain/
-	// MemBudget), and the probe interval. The zero value enables
-	// RTT-adaptive flow control with the tunnel defaults; setting an
-	// explicit static Window disables adaptation unless Adaptive is also
-	// set. Metrics is overridden with the proxy's registry.
+	// (BondConns), window clamps (WindowMin/WindowMax/BDPGain/MemBudget;
+	// WindowMin == WindowMax pins a static window), and the probe
+	// interval. The zero value uses the tunnel defaults. Metrics is
+	// overridden with the proxy's registry.
 	Tunnel tunnel.Config
 	// Metrics receives instrument counters; may be nil.
 	Metrics *metrics.Registry
@@ -217,13 +216,6 @@ func New(cfg Config) (*Proxy, error) {
 	lifecycle := cfg.Lifecycle
 	lifecycle.Metrics = cfg.Metrics
 	lifecycle.Logger = cfg.Logger.Named("peerlink." + cfg.Site)
-	tunnelcfg := cfg.Tunnel
-	if tunnelcfg.Window == 0 && !tunnelcfg.Adaptive {
-		// No explicit static window configured: proxies default to the
-		// RTT-adaptive window (a fixed window is wrong on any WAN whose
-		// bandwidth-delay product it doesn't happen to match).
-		tunnelcfg.Adaptive = true
-	}
 	//lint:allow-background the proxy IS the lifecycle root: every peer
 	// link, job, and handler context in the process derives from this one,
 	// and Close cancels it.
@@ -246,7 +238,7 @@ func New(cfg Config) (*Proxy, error) {
 		gossipcfg: cfg.Gossip.WithDefaults(),
 		jobcfg:    cfg.Jobs.WithDefaults(),
 		stagecfg:  cfg.Stage.WithDefaults(),
-		tunnelcfg: tunnelcfg,
+		tunnelcfg: cfg.Tunnel,
 		bondReg:   tunnel.NewBondRegistry(),
 		links:     make(map[string]*peerlink.Link),
 		nodes:     make(map[string]NodeHandle),

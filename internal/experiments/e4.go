@@ -88,10 +88,12 @@ func runE4Shape(sitesCount, nodesPerSite int) ([]E4Row, error) {
 	// Scheme 1: the paper's distributed collection. One status query per
 	// remote site; each proxy compiles its own nodes locally (free on
 	// the control channel). FreshStatus defeats the TTL cache so the row
-	// measures the true per-request cost.
+	// measures the true per-request cost. A partial answer (some site
+	// unreachable) would count fewer messages than the scheme costs, so
+	// it fails the run.
 	reg.Reset()
 	if _, err := origin.FreshStatus(ctx, nil); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("e4: site-compiled status: %w", err)
 	}
 	distributed := E4Row{
 		Scheme:       "site-compiled",

@@ -122,7 +122,9 @@ func runE8Mux(streams, bytesEach int) (E8Row, error) {
 			serverErr <- err
 			return
 		}
-		session := tunnel.Server(conn, tunnel.Config{Metrics: env.reg, AcceptBacklog: streams + 8})
+		// Both ends run the static default window E8 has always measured.
+		session := tunnel.Server(conn, tunnel.Config{Metrics: env.reg, AcceptBacklog: streams + 8,
+			WindowMin: tunnel.DefaultWindow, WindowMax: tunnel.DefaultWindow})
 		defer session.Close()
 		var wg sync.WaitGroup
 		for i := 0; i < streams; i++ {
@@ -145,7 +147,8 @@ func runE8Mux(streams, bytesEach int) (E8Row, error) {
 	if err != nil {
 		return E8Row{}, err
 	}
-	session := tunnel.Client(conn, tunnel.Config{Metrics: env.reg})
+	session := tunnel.Client(conn, tunnel.Config{Metrics: env.reg,
+		WindowMin: tunnel.DefaultWindow, WindowMax: tunnel.DefaultWindow})
 	defer session.Close()
 
 	payload, err := payloadOf(bytesEach)

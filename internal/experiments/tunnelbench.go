@@ -85,7 +85,7 @@ func benchTunnelThroughputK(b *testing.B, bond int) {
 	ctx := context.Background()
 	// Both captures run the same static default window so the bonded
 	// delta isolates the transport change, not a flow-control retune.
-	cfg := tunnel.Config{}
+	cfg := tunnel.Config{WindowMin: tunnel.DefaultWindow, WindowMax: tunnel.DefaultWindow}
 	reg := tunnel.NewBondRegistry()
 	sessCh := make(chan *tunnel.Session, 1)
 	go func() {

@@ -15,7 +15,7 @@ import (
 // consumes and the WINDOW grant arrives.
 func TestBlockedWriterUnblocksOnCredit(t *testing.T) {
 	const window = 4 << 10
-	client, server := pair(t, Config{Window: window})
+	client, server := pair(t, Config{WindowMin: window, WindowMax: window})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -38,7 +38,9 @@ func TestBlockedWriterUnblocksOnCredit(t *testing.T) {
 		t.Fatal("accept failed")
 	}
 
-	payload := make([]byte, 3*window)
+	// Every stream starts with DefaultWindow of credit; past it the
+	// writer runs on the 4 KiB window.
+	payload := make([]byte, DefaultWindow+3*window)
 	if _, err := rand.Read(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +53,11 @@ func TestBlockedWriterUnblocksOnCredit(t *testing.T) {
 		wrote <- err
 	}()
 
-	// With nothing consuming, the write must stall after one window.
+	// With nothing consuming, the write must stall once the initial
+	// credit is spent.
 	select {
 	case err := <-wrote:
-		t.Fatalf("write of 3x window completed with nothing reading (err=%v); no backpressure", err)
+		t.Fatalf("write past the initial credit completed with nothing reading (err=%v); no backpressure", err)
 	case <-time.After(200 * time.Millisecond):
 	}
 
@@ -83,7 +86,7 @@ func TestBlockedWriterUnblocksOnCredit(t *testing.T) {
 // window must not hang forever when the session dies under it.
 func TestBlockedWriterAbortsOnSessionClose(t *testing.T) {
 	const window = 4 << 10
-	client, server := pair(t, Config{Window: window})
+	client, server := pair(t, Config{WindowMin: window, WindowMax: window})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -100,7 +103,7 @@ func TestBlockedWriterAbortsOnSessionClose(t *testing.T) {
 
 	wrote := make(chan error, 1)
 	go func() {
-		_, err := out.Write(make([]byte, 3*window))
+		_, err := out.Write(make([]byte, DefaultWindow+3*window))
 		wrote <- err
 	}()
 	select {

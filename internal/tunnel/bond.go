@@ -1,6 +1,7 @@
 package tunnel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -15,38 +16,46 @@ import (
 // and prefixes each with a BONDJOIN frame naming the bond id (16 random
 // bytes exchanged in the handshake hello) and the member's index; the
 // acceptor routes those connections to the already-established session
-// via a BondRegistry. Streams opened while a bond is active send their
-// data as DATAQ frames — DATA plus a per-stream sequence number — sprayed
-// across member connections by least outstanding (unacknowledged) bytes,
-// and the receiver reassembles each stream in sequence order. Streams
-// opened before the bond activated (notably the handshake control stream)
-// keep the legacy DATA framing pinned to the primary connection forever,
-// so a peer that never bonds sees today's single-connection wire behavior
-// bit for bit.
+// via a BondRegistry. Every stream sends its data as DATAQ frames, each
+// numbered by a per-stream sequence, to the member with the least
+// outstanding (unacknowledged) bytes, and the receiver reassembles each
+// stream in sequence order. A session that never bonds is a bond of one:
+// the same frames, all on the primary.
 //
-// Reliability: every sprayed frame is retained (in a seqPayload buffer) by
-// the member that carried it until the receiver's cumulative BONDACK for
-// that connection covers it. wire.Writer assigns Seq-writes their wire
-// position under its own lock, and the receiver counts DATAQ/FINQ
-// arrivals per connection, so an ack of "n frames received" releases an
-// exact prefix. When a secondary member dies mid-stream its unacked tail
-// is resprayed over the survivors; per-stream sequence numbers make the
-// replay idempotent (duplicates are dropped in reassembly), so a member
-// death loses zero bytes. The primary carries the control plane and is
-// not failover-able: its death ends the session, exactly like the single
-// connection it used to be.
+// Reliability: wire.Writer numbers Seq-writes in wire order under its own
+// lock, and the receiver counts DATAQ/FINQ arrivals per connection, so a
+// cumulative BONDACK of "n frames received" on a connection covers an
+// exact prefix of what was written there. A frame on a secondary is
+// copied (into a seqPayload buffer), queued to the member's sendLoop and
+// retained until that ack covers it; when a secondary dies mid-stream its
+// queued and unacked frames are resprayed over the survivors, and
+// per-stream sequence numbers make the replay idempotent (duplicates are
+// dropped in reassembly), so a member death loses zero bytes. The primary
+// carries the control plane and is not failover-able: its death ends the
+// session, so a frame on it never needs a retransmit copy. While the
+// primary is the only member, each frame is gathered straight from the
+// caller's buffer into its writer: no copy, no queue hop, nothing kept.
+// Once members join, the primary takes frames through its send queue like
+// the others, so a writer is not held by one member's flush while the
+// rest idle; it drops each copy once written and keeps only the frame's
+// size until its ack, for the least-outstanding balance.
 
 // BondID identifies the member connections of one bond.
 type BondID [16]byte
 
-// sentFrame is one sprayed frame retained for possible retransmit.
+// sentFrame is one sequenced frame a member has queued or written and
+// not yet seen acknowledged.
 type sentFrame struct {
 	wseq   uint64 // position among Seq-writes on the member's writer
 	stream uint32
 	seq    uint64 // per-stream sequence
 	fin    bool
-	buf    []byte // seqPayload buffer; nil for FINQ
+	n      int    // payload bytes
+	buf    []byte // the queued copy (seqPayload), kept until acked on a secondary; nil for FINQ
 }
+
+// cost is the frame's weight in the least-outstanding-bytes balance.
+func (f *sentFrame) cost() int64 { return int64(f.n) + frameOverhead }
 
 // frameOverhead approximates per-frame wire overhead for the
 // least-outstanding-bytes spray metric, so empty FINQ frames still count.
@@ -59,11 +68,12 @@ type member struct {
 	conn    net.Conn
 	w       *wire.Writer
 
-	// Send queue: sprayFrame enqueues, one sendLoop per member drains in
-	// multi-frame batches (wire.WriteSeqFrames), so the frames in flight
-	// on a member are bounded by window credit, not by how many stream
-	// writers happen to be blocked in a flush. qmu is never held across
-	// I/O; qcond wakes the loop on arrivals and on death.
+	// Send queue, unused while the primary is the only member:
+	// sendFrame enqueues, one sendLoop per member drains in multi-frame
+	// batches (wire.WriteSeqFrames), so the frames in flight on a member
+	// are bounded by window credit, not by how many stream writers happen
+	// to be blocked in a flush. qmu is never held across I/O; qcond wakes
+	// the loop on arrivals and on death.
 	qmu    sync.Mutex
 	qcond  *sync.Cond
 	queue  []sentFrame
@@ -176,16 +186,14 @@ func (s *Session) handleBondAck(payload []byte) error {
 }
 
 // retain records a successfully written frame until its ack arrives. The
-// outstanding balance was already charged optimistically by sprayFrame;
-// if the ack raced ahead of us the frame is released immediately.
+// outstanding balance was already charged before the write; if the ack
+// raced ahead of us the frame is released immediately.
 func (m *member) retain(f sentFrame) {
 	m.retMu.Lock()
 	if f.wseq <= m.ackedCum {
 		m.retMu.Unlock()
-		m.outstanding.Add(-(int64(len(f.buf)) + frameOverhead))
-		if f.buf != nil {
-			wire.PutPayload(f.buf)
-		}
+		m.outstanding.Add(-f.cost())
+		wire.PutPayload(f.buf)
 		return
 	}
 	// Insert keeping wseq order. Concurrent sprayers can retain slightly
@@ -207,11 +215,9 @@ func (m *member) releaseTo(cum uint64) {
 	}
 	i := 0
 	for ; i < len(m.retained) && m.retained[i].wseq <= cum; i++ {
-		f := m.retained[i]
-		freed += int64(len(f.buf)) + frameOverhead
-		if f.buf != nil {
-			wire.PutPayload(f.buf)
-		}
+		f := &m.retained[i]
+		freed += f.cost()
+		wire.PutPayload(f.buf)
 	}
 	if i > 0 {
 		rest := copy(m.retained, m.retained[i:])
@@ -240,19 +246,26 @@ func (m *member) takeRetained() []sentFrame {
 // (session teardown).
 func (m *member) releaseAll() {
 	for _, f := range m.takeRetained() {
-		if f.buf != nil {
-			wire.PutPayload(f.buf)
-		}
+		wire.PutPayload(f.buf)
 	}
 }
 
-// pickMember selects the live member with the least outstanding bytes —
-// the spray policy that keeps a slow or lossy member from capping the
-// bond, since it simply stops winning the election while its acks lag.
-func (s *Session) pickMember() *member {
+// pickMember selects the member a frame goes to: the live member with the
+// least outstanding bytes — the policy that keeps a slow or lossy member
+// from capping the bond, since it simply stops winning the election while
+// its acks lag — or, for a pinned frame, the primary. A pinned frame
+// belongs to a stream whose SYNACK has not arrived yet and must follow
+// the SYN on the connection that carried it: sent elsewhere it could
+// reach the peer before the stream exists there, be dropped as unknown
+// and still be acknowledged by BONDACK. nil means no live member is left.
+func (s *Session) pickMember(pinned bool) *member {
+	ms := s.liveMembers()
+	if pinned {
+		ms = ms[:1]
+	}
 	var best *member
 	var bestOut int64
-	for _, m := range s.liveMembers() {
+	for _, m := range ms {
 		if m.dead.Load() {
 			continue
 		}
@@ -268,31 +281,34 @@ func (s *Session) pickMember() *member {
 // into a single WriteSeqFrames batch (and thus one flush).
 const sprayBatchMax = 32
 
-// sprayFrame hands one sequenced frame (taking ownership of f.buf, a
-// seqPayload buffer, or nil for FINQ) to the least-loaded live member's
-// send queue. It returns as soon as the frame is queued — the member's
-// sendLoop batches queued frames into single flushes, so spraying is
-// paced by window credit rather than by flush latency. A write failure
-// surfaces through memberFailed (failover resprays the frame); the caller
-// only sees an error when no live member remains.
-//
-// A pinned frame belongs to a stream whose SYNACK has not arrived yet and
-// goes only to the primary, the connection that carried the SYN. Sprayed
-// elsewhere it could reach the peer before the stream exists there, be
-// dropped as unknown and still be acknowledged by BONDACK.
-func (s *Session) sprayFrame(f sentFrame, pinned bool) error {
+// sendFrame sends one sequenced frame: a DATAQ whose f.n payload bytes are
+// gathered from parts[1:], or a FINQ. parts[0] is the caller's 12-byte
+// header buffer. While the primary is the session's only member the frame
+// is written in place and sendFrame returns once it is on the wire.
+// Otherwise the chosen member gets a copy (f.buf, made here unless the
+// frame already owns one) on its send queue and sendFrame returns once it
+// is queued, so a writer keeps spraying while members flush. A queued
+// frame's write failure surfaces through memberFailed, which resprays it;
+// the caller sees an error only when the in-place write fails or no live
+// member remains. sendFrame takes ownership of f.buf.
+func (s *Session) sendFrame(f sentFrame, parts [][]byte, pinned bool) error {
 	for {
-		var m *member
-		if !pinned {
-			m = s.pickMember()
-		} else if p := s.liveMembers()[0]; !p.dead.Load() {
-			m = p
-		}
+		m := s.pickMember(pinned)
 		if m == nil {
-			if f.buf != nil {
-				wire.PutPayload(f.buf)
-			}
+			wire.PutPayload(f.buf)
 			return s.closeErr()
+		}
+		if m.index == 0 && s.BondWidth() == 1 {
+			err := m.writeInPlace(f, parts)
+			wire.PutPayload(f.buf)
+			return err
+		}
+		if f.buf == nil && f.n > 0 {
+			f.buf = seqPayload(f.n)
+			w := 0
+			for _, p := range parts[1:] {
+				w += copy(f.buf[w:], p)
+			}
 		}
 		if m.enqueue(f) {
 			return nil
@@ -300,11 +316,32 @@ func (s *Session) sprayFrame(f sentFrame, pinned bool) error {
 	}
 }
 
+// writeInPlace writes f on the primary, gathering its payload from
+// parts[1:] behind the header it encodes into parts[0] (the bytes are
+// written in place, so the caller's buffer stays on its stack). Nothing
+// is kept: the primary's death ends the session, so the frame never
+// needs a retransmit copy, and with no other member there is no spray
+// balance to charge. It still takes a Seq position, so the peer's
+// BONDACK counts for the primary stay exact: they release the sizes the
+// primary kept while the bond was wider.
+func (m *member) writeInPlace(f sentFrame, parts [][]byte) error {
+	binary.BigEndian.PutUint32(parts[0], f.stream)
+	binary.BigEndian.PutUint64(parts[0][4:], f.seq)
+	typ := frameDATAQ
+	if f.fin {
+		typ = frameFINQ
+	}
+	if _, err := m.w.WriteFramevSeq(typ, parts...); err != nil {
+		return m.session.writeFailed(fmt.Errorf("tunnel: send %#x: %w", typ, err))
+	}
+	return nil
+}
+
 // enqueue charges the frame against the member's outstanding balance and
 // appends it to the send queue, lazily starting the member's sendLoop.
 // It refuses (uncharging) if the member died first.
 func (m *member) enqueue(f sentFrame) bool {
-	cost := int64(len(f.buf)) + frameOverhead
+	cost := f.cost()
 	m.outstanding.Add(cost)
 	m.qmu.Lock()
 	if m.dead.Load() {
@@ -384,6 +421,12 @@ func (m *member) sendLoop() {
 		for i := range items[:n] {
 			f := items[i]
 			f.wseq = first + uint64(i)
+			if m.index == 0 {
+				// The primary's death ends the session: keep only the
+				// frame's size, for the spray balance, not its copy.
+				wire.PutPayload(f.buf)
+				f.buf = nil
+			}
 			m.retain(f)
 		}
 	}
@@ -393,26 +436,26 @@ func (m *member) sendLoop() {
 // unacknowledged) over the surviving members, releasing their buffers if
 // the whole session dies mid-way.
 func (s *Session) resprayFrames(pend []sentFrame) {
+	var hdr [12]byte
 	for i, f := range pend {
 		s.bondRetransmit.Inc()
 		// Only a dead primary strands pinned frames, and its death ends the
 		// session, so nothing here needs pinning.
-		if err := s.sprayFrame(f, false); err != nil {
+		if err := s.sendFrame(f, [][]byte{hdr[:], f.buf}, false); err != nil {
 			for _, g := range pend[i+1:] {
-				if g.buf != nil {
-					wire.PutPayload(g.buf)
-				}
+				wire.PutPayload(g.buf)
 			}
 			return
 		}
 	}
 }
 
-// sendSeq sprays buf (a seqPayload buffer, or nil for FIN) as the stream's
-// next sequenced frame, pinned to the primary until the SYNACK arrives.
-func (st *Stream) sendSeq(fin bool, buf []byte) error {
-	f := sentFrame{stream: st.id, seq: st.nextSendSeq.Add(1) - 1, fin: fin, buf: buf}
-	return st.session.sprayFrame(f, !st.synAcked.Load())
+// sendSeq sends the stream's next sequenced frame (see sendFrame), pinned
+// to the primary until the SYNACK arrives. parts[0] is a 12-byte header
+// buffer, parts[1:] the payload; a FINQ has none.
+func (st *Stream) sendSeq(fin bool, n int, parts [][]byte) error {
+	f := sentFrame{stream: st.id, seq: st.nextSendSeq.Add(1) - 1, fin: fin, n: n}
+	return st.session.sendFrame(f, parts, !st.synAcked.Load())
 }
 
 // memberFailed removes a dead secondary from the bond and resprays its
@@ -468,12 +511,11 @@ func (s *Session) addMember(index int, conn net.Conn, w *wire.Writer) (*member, 
 	next = append(next, cur...)
 	next = append(next, m)
 	s.members.Store(&next)
-	s.bondActive.Store(true)
+	// The caller starts the member's read loop; count it before shutdown
+	// can see the member.
+	s.readers.Add(1)
 	s.bondMu.Unlock()
 	s.bondConnsGauge.Set(int64(len(next)))
-	// A bonded session needs the prober even without adaptive windows:
-	// it sweeps straggler acks and keeps per-member RTT fresh.
-	s.startProber()
 	return m, nil
 }
 
@@ -577,9 +619,9 @@ func (r *BondRegistry) claim(id BondID) (*Session, error) {
 // the session registered under its bond id and returns (nil, nil); any
 // other first frame starts a normal server session that processes it as
 // its first inbound frame — so a peer that never sends BONDJOIN gets
-// exactly the classic Server behavior. The preface read is bounded by
-// prefaceTimeout (0 = no bound) so an idle connection cannot park the
-// acceptor. reg may be nil when bonding is disabled locally; join
+// exactly the Server behavior, a bond of one. The preface read is
+// bounded by prefaceTimeout (0 = no bound) so an idle connection cannot
+// park the acceptor. reg may be nil when bonding is disabled locally; join
 // attempts are then refused.
 func ServerConn(conn net.Conn, reg *BondRegistry, cfg Config, prefaceTimeout time.Duration) (*Session, error) {
 	r := wire.NewReader(conn)

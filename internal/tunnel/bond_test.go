@@ -3,6 +3,7 @@ package tunnel
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -135,35 +136,49 @@ func TestBondedPairReassembly(t *testing.T) {
 	data := make([]byte, 4<<20)
 	rand.New(rand.NewSource(7)).Read(data)
 	transferExact(t, client, server, data, nil)
-	if !client.bondActive.Load() || !server.bondActive.Load() {
-		t.Fatal("bond not active on both ends")
+	if got := server.BondWidth(); got != 3 {
+		t.Fatalf("server bond width %d after transfer, want 3", got)
 	}
 }
 
 // TestBondMemberDeathZeroByteLoss kills a secondary member mid-stream:
 // the unacknowledged tail must be resprayed over the survivors and the
 // receiver must still observe every byte exactly once, in order. Run
-// with -race this also exercises the failover locking.
+// with -race this also exercises the failover locking. Once the traffic
+// stops, the acks must release everything the survivors kept, also when
+// the bond shrinks back to its primary alone.
 func TestBondMemberDeathZeroByteLoss(t *testing.T) {
-	client, server := bondedPair(t, 3, 50*time.Microsecond, Config{}, nil)
-	data := make([]byte, 8<<20)
-	rand.New(rand.NewSource(11)).Read(data)
-	transferExact(t, client, server, data, func() {
-		// Let the spray get going, then yank a secondary's transport.
-		time.Sleep(5 * time.Millisecond)
-		ms := client.liveMembers()
-		if len(ms) != 3 {
-			t.Errorf("bond width %d before kill, want 3", len(ms))
-			return
-		}
-		_ = ms[2].conn.Close()
-	})
-	waitUntil(t, 5*time.Second, func() bool { return client.BondWidth() == 2 })
-	if server.isClosed() || client.isClosed() {
-		t.Fatal("session died on secondary member failure")
+	for _, k := range []int{3, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			client, server := bondedPair(t, k, 50*time.Microsecond, Config{}, nil)
+			data := make([]byte, 8<<20)
+			rand.New(rand.NewSource(11)).Read(data)
+			transferExact(t, client, server, data, func() {
+				// Let the spray get going, then yank a secondary's transport.
+				time.Sleep(5 * time.Millisecond)
+				ms := client.liveMembers()
+				if len(ms) != k {
+					t.Errorf("bond width %d before kill, want %d", len(ms), k)
+					return
+				}
+				_ = ms[k-1].conn.Close()
+			})
+			waitUntil(t, 5*time.Second, func() bool { return client.BondWidth() == k-1 })
+			if server.isClosed() || client.isClosed() {
+				t.Fatal("session died on secondary member failure")
+			}
+			// The shrunken bond must still carry traffic.
+			transferExact(t, client, server, data[:1<<20], nil)
+			waitUntil(t, 5*time.Second, func() bool {
+				for _, m := range client.liveMembers() {
+					if m.outstanding.Load() != 0 {
+						return false
+					}
+				}
+				return true
+			})
+		})
 	}
-	// The shrunken bond must still carry traffic.
-	transferExact(t, client, server, data[:1<<20], nil)
 }
 
 // TestBondLossyMemberStillExact degrades one member with 30% loss and
@@ -185,11 +200,9 @@ func TestBondLossyMemberStillExact(t *testing.T) {
 	transferExact(t, client, server, data, nil)
 }
 
-// TestServerConnLegacyClientFallback is the cross-version compatibility
-// contract: a peer that never sends BONDJOIN (an old build, or a new one
-// negotiated down to one connection) gets exactly the classic
-// single-connection behavior from ServerConn — no bond state, legacy
-// DATA framing, working streams.
+// TestServerConnLegacyClientFallback: a peer that never sends BONDJOIN
+// (one negotiated down to one connection) gets a plain single-connection
+// session from ServerConn — a bond of one, with working streams.
 func TestServerConnLegacyClientFallback(t *testing.T) {
 	mem := transport.NewMemNetwork()
 	t.Cleanup(func() { _ = mem.Close() })
@@ -213,7 +226,7 @@ func TestServerConnLegacyClientFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A legacy dialer: plain Client, no bond joins ever.
+	// A dialer that never joins bond members: plain Client.
 	client := Client(conn, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -231,12 +244,6 @@ func TestServerConnLegacyClientFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.bonded || peer.bonded {
-		t.Fatal("stream marked bonded on an unbonded session")
-	}
-	if client.bondActive.Load() || server.bondActive.Load() {
-		t.Fatal("bond active without any BONDJOIN")
-	}
 	if client.BondWidth() != 1 || server.BondWidth() != 1 {
 		t.Fatal("bond width != 1 on single-connection session")
 	}
@@ -248,7 +255,7 @@ func TestServerConnLegacyClientFallback(t *testing.T) {
 	}()
 	got, err := io.ReadAll(peer)
 	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("legacy exchange broken: err=%v got=%d bytes", err, len(got))
+		t.Fatalf("single-connection exchange broken: err=%v got=%d bytes", err, len(got))
 	}
 }
 
@@ -300,7 +307,6 @@ func TestAdaptiveWindowConvergesUnderLoss(t *testing.T) {
 		t.Skip("loss shaping sleeps")
 	}
 	cfg := Config{
-		Adaptive:      true,
 		WindowMin:     32 << 10,
 		WindowMax:     1 << 20,
 		ProbeInterval: 5 * time.Millisecond,
@@ -397,8 +403,6 @@ func TestAdaptiveWindowConvergesUnderLoss(t *testing.T) {
 func TestAdaptiveWindowRespectsMemBudget(t *testing.T) {
 	const streams = 8
 	cfg := Config{
-		Adaptive:      true,
-		Window:        32 << 10,
 		MemBudget:     64 << 10,
 		ProbeInterval: 2 * time.Millisecond,
 	}
@@ -440,7 +444,8 @@ func TestAdaptiveWindowRespectsMemBudget(t *testing.T) {
 		}(pairs[i].peer)
 	}
 
-	// Give the prober a few ticks to apply the clamp, then hold it to it.
+	// Each Open clamped the target already; let the transfer and a few
+	// prober ticks run, then hold the target to the clamp throughout.
 	time.Sleep(20 * time.Millisecond)
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
@@ -451,4 +456,66 @@ func TestAdaptiveWindowRespectsMemBudget(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(done)
+}
+
+// TestMismatchedWindowRangesInteroperate moves 4 MiB each way over one
+// stream between ends whose window ranges do not even overlap: one
+// floors its window at 1 MiB, the other caps it at 64 KiB. Each end's
+// grants follow its own range, and both start every stream at
+// DefaultWindow of credit, so neither overruns the other.
+func TestMismatchedWindowRangesInteroperate(t *testing.T) {
+	client, server := pairWith(t,
+		Config{WindowMin: 1 << 20, WindowMax: 4 << 20},
+		Config{WindowMin: 16 << 10, WindowMax: 64 << 10})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := client.Open(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The SYN travels with the first write.
+	errs := make(chan error, 4)
+	up := make([]byte, 4<<20)
+	rand.New(rand.NewSource(1)).Read(up)
+	go func() {
+		_, err := out.Write(up)
+		if err == nil {
+			err = out.CloseWrite()
+		}
+		errs <- err
+	}()
+	in, err := server.Accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := make([]byte, 4<<20)
+	rand.New(rand.NewSource(2)).Read(down)
+	go func() {
+		_, err := in.Write(down)
+		if err == nil {
+			err = in.CloseWrite()
+		}
+		errs <- err
+	}()
+	check := func(st *Stream, want []byte, dir string) {
+		got, err := io.ReadAll(st)
+		if err == nil && !bytes.Equal(got, want) {
+			err = fmt.Errorf("%s: got %d bytes, want %d, or content differs", dir, len(got), len(want))
+		}
+		errs <- err
+	}
+	go check(in, up, "client to server")
+	go check(out, down, "server to client")
+	for i := 0; i < 4; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range []*Session{client, server} {
+		select {
+		case <-s.Done():
+			t.Fatalf("session ended: %v", s.Err())
+		default:
+		}
+	}
 }

@@ -27,8 +27,9 @@ import (
 // a thousand-stream session cannot promise unbounded receive buffering.
 //
 // The estimator lives at the receiver (grants are its to give); the
-// sender needs no changes at all, which is what keeps the scheme
-// compatible with peers running the fixed-window code.
+// sender only spends the credit it is granted. There is one regime: a
+// static window is the same loop with WindowMin == WindowMax, and the
+// prober runs on every session, where it also sweeps straggler BONDACKs.
 
 // flowGains is the window gain cycle (see package comment above).
 var flowGains = [...]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
@@ -62,7 +63,7 @@ type flowState struct {
 }
 
 func (f *flowState) init(cfg Config) {
-	f.target.Store(int64(cfg.Window))
+	f.target.Store(int64(cfg.initialTarget()))
 }
 
 // observeRTT records one probe round trip. Windowed (ring) rather than
@@ -123,59 +124,52 @@ func (f *flowState) maxBW() float64 {
 }
 
 // retarget recomputes the per-stream window target from the current
-// estimates. Until both estimators have a sample the configured initial
-// window stands (still subject to the memory clamp).
+// estimates. Until both estimators have a sample the initial target
+// stands (still subject to the memory budget).
 func (f *flowState) retarget(cfg Config, gain float64, streams int) {
-	target := int64(cfg.Window)
+	target := int64(cfg.initialTarget())
 	rtt := f.minRTT()
 	bw := f.maxBW()
 	if rtt > 0 && bw > 0 {
 		bdp := bw * rtt.Seconds()
 		target = int64(cfg.BDPGain * gain * bdp)
 	}
-	if target < int64(cfg.WindowMin) {
-		target = int64(cfg.WindowMin)
-	}
-	if target > int64(cfg.WindowMax) {
-		target = int64(cfg.WindowMax)
-	}
-	// The memory budget is a hard clamp: it wins even against WindowMin,
-	// because it is what bounds receiver buffering across streams.
-	if cfg.MemBudget > 0 {
-		if streams < 1 {
-			streams = 1
-		}
-		if per := cfg.MemBudget / int64(streams); target > per {
-			target = per
-		}
-		if target < flowTargetFloor {
-			target = flowTargetFloor
-		}
-	}
-	f.target.Store(target)
+	target = min(max(target, int64(cfg.WindowMin)), int64(cfg.WindowMax))
+	f.target.Store(cfg.budgetCap(target, streams))
 }
 
-// windowTarget is the current per-stream window target: static sessions
-// keep their configured window, adaptive ones track the estimator.
+// budgetCap holds a window target to its stream's share of MemBudget,
+// floored at flowTargetFloor. The budget is a hard clamp: it wins even
+// against WindowMin, because it is what bounds receiver buffering across
+// streams.
+func (c Config) budgetCap(target int64, streams int) int64 {
+	if c.MemBudget <= 0 {
+		return target
+	}
+	return max(min(target, c.MemBudget/int64(max(streams, 1))), flowTargetFloor)
+}
+
+// clampToBudget lowers the target at once when a new stream shrinks each
+// stream's budget share below it, rather than at the prober's next tick,
+// which can come late on a loaded host.
+func (f *flowState) clampToBudget(cfg Config, streams int) {
+	for {
+		cur := f.target.Load()
+		capped := cfg.budgetCap(cur, streams)
+		if capped >= cur || f.target.CompareAndSwap(cur, capped) {
+			return
+		}
+	}
+}
+
+// windowTarget is the current per-stream window target.
 func (s *Session) windowTarget() int64 { return s.flow.target.Load() }
 
-// startProber launches the estimator goroutine once per session. It runs
-// for adaptive sessions (window sizing needs the estimators) and for
-// bonded sessions (per-member RTT for the spray metrics plus straggler
-// BONDACK sweeps), and exits with the session.
-func (s *Session) startProber() {
-	if s.proberOn.Swap(true) {
-		return
-	}
-	//lint:allow-leak probeLoop is supervised by the session: it selects
-	// on s.done every tick and exits when the session shuts down.
-	go s.probeLoop()
-}
-
-// probeLoop drives the estimators: each tick it pings every live member
-// (attributing the RTT sample to the connection it returns on), samples
-// the delivery rate, advances the gain cycle, and refreshes the window
-// target and the bond/RTT gauges.
+// probeLoop drives the estimators for the session's lifetime: each tick
+// it sweeps straggler BONDACKs, pings every live member (attributing the
+// RTT sample to the connection it returns on), samples the delivery
+// rate, advances the gain cycle, and refreshes the window target and the
+// RTT gauge.
 func (s *Session) probeLoop() {
 	ticker := time.NewTicker(s.cfg.ProbeInterval)
 	defer ticker.Stop()
@@ -191,9 +185,7 @@ func (s *Session) probeLoop() {
 		case <-ticker.C:
 		}
 
-		if s.bondActive.Load() {
-			s.flushBondAcks()
-		}
+		s.flushBondAcks()
 
 		// Sweep prober waiters that have aged out (a PONG queued behind
 		// bulk traffic may legitimately take many ticks), then launch
@@ -242,9 +234,7 @@ func (s *Session) probeLoop() {
 		if rtt := s.SmoothedRTT(); rtt > 0 {
 			s.rttGauge.Set(rtt.Microseconds())
 		}
-		if s.cfg.Adaptive {
-			s.flow.retarget(s.cfg, flowGains[gainIdx], s.table.len())
-			gainIdx = (gainIdx + 1) % len(flowGains)
-		}
+		s.flow.retarget(s.cfg, flowGains[gainIdx], s.table.len())
+		gainIdx = (gainIdx + 1) % len(flowGains)
 	}
 }

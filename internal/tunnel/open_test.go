@@ -31,7 +31,7 @@ func readFrameOfType(t *testing.T, r *wire.Reader, want byte) wire.Frame {
 
 // TestOpenReturnsBeforeSYNACK opens a stream to a raw peer that never
 // answers the SYN: Open and the first Write must complete anyway, with
-// the data right behind the SYN on the wire. A SYNACK arriving after the
+// the data (DATAQ, then FINQ on Close) right behind the SYN on the wire. A SYNACK arriving after the
 // stream closed is ignored, and the session stays up.
 func TestOpenReturnsBeforeSYNACK(t *testing.T) {
 	session, raw := rawPeer(t)
@@ -54,15 +54,20 @@ func TestOpenReturnsBeforeSYNACK(t *testing.T) {
 	if id := b.Uint32(); id != st.ID() || string(syn.Payload[4:]) != "meta" {
 		t.Fatalf("SYN = %x, want stream %d with meta", syn.Payload, st.ID())
 	}
-	data := readFrameOfType(t, r, frameDATA)
-	if got := data.Payload[4:]; !bytes.Equal(got, msg) {
-		t.Fatalf("DATA = %q, want %q", got, msg)
+	data := readFrameOfType(t, r, frameDATAQ)
+	b = wire.NewBuffer(data.Payload)
+	if id, seq := b.Uint32(), b.Uint64(); id != st.ID() || seq != 0 || !bytes.Equal(data.Payload[12:], msg) {
+		t.Fatalf("DATAQ = stream %d seq %d %q, want stream %d seq 0 %q", id, seq, data.Payload[12:], st.ID(), msg)
 	}
 
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close before SYNACK: %v", err)
 	}
-	readFrameOfType(t, r, frameFIN)
+	fin := readFrameOfType(t, r, frameFINQ)
+	b = wire.NewBuffer(fin.Payload)
+	if id, seq := b.Uint32(), b.Uint64(); id != st.ID() || seq != 1 {
+		t.Fatalf("FINQ = stream %d seq %d, want stream %d seq 1", id, seq, st.ID())
+	}
 	// A late SYNACK for the closed stream, then a PING: the PONG proves
 	// the session dispatched the SYNACK and is still alive.
 	if err := w.WriteControl(frameSYNACK, wire.AppendUint32(nil, st.ID())); err != nil {
@@ -177,8 +182,8 @@ func TestBondedWriteAfterOpenZeroLoss(t *testing.T) {
 	}{
 		{"one write", 8 << 20, Config{}},
 		{"1KiB writes", 1 << 10, Config{}},
-		{"1KiB writes 4MiB window", 1 << 10, Config{Window: 4 << 20}},
-		{"1KiB writes adaptive 8-64MiB", 1 << 10, Config{Adaptive: true, Window: 8 << 20, WindowMin: 8 << 20, WindowMax: 64 << 20}},
+		{"1KiB writes 4MiB window", 1 << 10, Config{WindowMin: 4 << 20, WindowMax: 4 << 20}},
+		{"1KiB writes adaptive 8-64MiB", 1 << 10, Config{WindowMin: 8 << 20, WindowMax: 64 << 20}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bondedWriteAfterOpen(t, tc.chunk, tc.cfg)
@@ -294,17 +299,19 @@ func TestEmptyFutureDATAQKillsSession(t *testing.T) {
 func TestDATAQBeyondCreditKillsSession(t *testing.T) {
 	session, raw := rawPeer(t)
 	w := openRawStream(t, session, raw)
-	if err := w.WriteFrame(frameDATAQ, dataq(8<<10+1, []byte{1})); err != nil {
+	if err := w.WriteFrame(frameDATAQ, dataq(DefaultWindow+1, []byte{1})); err != nil {
 		t.Fatal(err)
 	}
 	expectSessionFailsFast(t, session, "DATAQ beyond the window")
 }
 
-// TestReorderParkingBoundedByCredit parks one-byte frames at every
-// sequence the stream's 8 KiB of credit leaves room for while frame 0 is
-// missing: that is as far as an honest sender can get ahead, so the
-// session must hold all of them, each in a buffer of its own size rather
-// than a 64 KiB lease, and deliver them in order once frame 0 arrives.
+// TestReorderParkingBoundedByCredit first spends all but 8 KiB of the
+// stream's initial credit in order, unread, then parks one-byte frames at
+// every sequence the remaining credit leaves room for while the next
+// in-order frame is missing: that is as far as an honest sender can get
+// ahead, so the session must hold all of them, each in a buffer of its
+// own size rather than a 64 KiB lease, and deliver them in order once the
+// missing frame arrives.
 func TestReorderParkingBoundedByCredit(t *testing.T) {
 	session, raw := rawPeer(t)
 	w := wire.NewWriter(raw)
@@ -331,12 +338,30 @@ func TestReorderParkingBoundedByCredit(t *testing.T) {
 		}
 	}()
 	const credit = 8 << 10
-	want := make([]byte, credit)
-	for seq := uint64(credit - 1); seq >= 1; seq-- {
-		want[seq] = byte(seq)
-		if err := w.WriteFrame(frameDATAQ, dataq(seq, want[seq:seq+1])); err != nil {
+	want := make([]byte, DefaultWindow)
+	prefix, tail := want[:DefaultWindow-credit], want[DefaultWindow-credit:]
+	// Encode the frames into one buffer and send it in one write.
+	var flood bytes.Buffer
+	fw := wire.NewWriter(&flood)
+	var base uint64 // the sequence of tail[0]
+	for off := 0; off < len(prefix); off += maxSegment {
+		seg := prefix[off:min(off+maxSegment, len(prefix))]
+		for i := range seg {
+			seg[i] = byte(off + i)
+		}
+		if err := fw.WriteFrame(frameDATAQ, dataq(base, seg)); err != nil {
 			t.Fatal(err)
 		}
+		base++
+	}
+	for i := credit - 1; i >= 1; i-- {
+		tail[i] = byte(i)
+		if err := fw.WriteFrame(frameDATAQ, dataq(base+uint64(i), tail[i:i+1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := raw.Write(flood.Bytes()); err != nil {
+		t.Fatal(err)
 	}
 	// The session answers the PING after every frame written before it.
 	if err := w.WriteControl(framePING, wire.AppendUint64(nil, 1)); err != nil {
@@ -359,11 +384,11 @@ func TestReorderParkingBoundedByCredit(t *testing.T) {
 		t.Fatalf("%d frames parked in %d bytes of buffers, want %d in at most %d",
 			parked, pinned, credit-1, 2*(credit-1))
 	}
-	want[0] = 0xff
-	if err := w.WriteFrame(frameDATAQ, dataq(0, want[:1])); err != nil {
+	tail[0] = 0xff
+	if err := w.WriteFrame(frameDATAQ, dataq(base, tail[:1])); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, credit)
+	got := make([]byte, len(want))
 	_ = st.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadFull(st, got); err != nil {
 		t.Fatal(err)

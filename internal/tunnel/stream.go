@@ -47,13 +47,6 @@ type Stream struct {
 	meta    []byte
 	// accepted marks streams created by the peer's SYN.
 	accepted bool
-	// bonded is latched at creation: streams born after the bond
-	// activated send sequenced DATAQ frames sprayed across members;
-	// streams born before (notably the handshake control stream) keep
-	// the legacy DATA framing pinned to the primary connection, so no
-	// stream ever switches framing mid-flight. Receivers handle both
-	// framings on any stream regardless.
-	bonded bool
 	// synAcked is set once the peer is known to hold its side of the
 	// stream: at creation for accepted streams, on the SYNACK for opened
 	// ones. Until then sequenced frames stay on the primary behind the SYN.
@@ -68,8 +61,8 @@ type Stream struct {
 	// consumed is bytes the application has read. The peer violates the
 	// protocol iff delivered (plus out-of-order bytes parked in ooo)
 	// would exceed extended; grants top extended back up to
-	// consumed + target, which for a static target is exactly the classic
-	// "replenish what was read" behavior and for an adaptive target lets
+	// consumed + target, which for a static target (WindowMin ==
+	// WindowMax) is exactly "replenish what was read" and otherwise lets
 	// the window grow or shrink as the estimators move.
 	recvMu    sync.Mutex
 	recvCond  *sync.Cond
@@ -103,12 +96,12 @@ type Stream struct {
 var _ net.Conn = (*Stream)(nil)
 
 func newStream(s *Session, id uint32) *Stream {
+	s.flow.clampToBudget(s.cfg, s.table.len()+1)
 	st := &Stream{
 		session:    s,
 		id:         id,
-		bonded:     s.bondActive.Load(),
-		sendWindow: s.cfg.Window,
-		extended:   int64(s.cfg.Window),
+		sendWindow: DefaultWindow,
+		extended:   DefaultWindow,
 	}
 	st.recvCond = sync.NewCond(&st.recvMu)
 	st.sendCond = sync.NewCond(&st.sendMu)
@@ -121,27 +114,8 @@ func (st *Stream) ID() uint32 { return st.id }
 // Meta returns the metadata the opener attached (nil on the opening side).
 func (st *Stream) Meta() []byte { return st.meta }
 
-// deliver appends inbound data and wakes readers. It enforces the receive
-// window: a peer overrunning its credit is a protocol violation.
-func (st *Stream) deliver(p []byte) error {
-	st.recvMu.Lock()
-	defer st.recvMu.Unlock()
-	if st.recvErr != nil || st.recvEOF {
-		return nil // late data after close; drop
-	}
-	// An honest peer never has more than the granted credit outstanding,
-	// so buffered-but-unread data can never legitimately exceed it.
-	if st.delivered+int64(st.oooBytes)+int64(len(p)) > st.extended {
-		return fmt.Errorf("tunnel: stream %d receive window overrun", st.id)
-	}
-	st.recvBuf.Write(p)
-	st.delivered += int64(len(p))
-	st.recvCond.Broadcast()
-	return nil
-}
-
-// deliverSeq accepts one sequenced frame (bonded framing): in-order data
-// is buffered immediately and the parked frames drained behind it;
+// deliverSeq accepts one sequenced frame: in-order data is buffered
+// immediately and the parked frames drained behind it;
 // early frames are copied into a buffer of their own and parked; frames
 // at an already-delivered or already-parked sequence are retransmit
 // duplicates and dropped. fin frames occupy a sequence slot so EOF cannot
@@ -164,6 +138,9 @@ func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
 		return nil // duplicate of a frame already delivered
 	}
 	if seq == st.nextSeq {
+		// An honest peer never has more than the granted credit
+		// outstanding, so buffered-but-unread data can never legitimately
+		// exceed it.
 		if st.delivered+int64(st.oooBytes)+int64(len(p)) > st.extended {
 			return fmt.Errorf("tunnel: stream %d receive window overrun", st.id)
 		}
@@ -188,9 +165,7 @@ func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
 				st.delivered += int64(len(f.buf))
 				st.oooBytes -= len(f.buf)
 			}
-			if f.buf != nil {
-				wire.PutPayload(f.buf)
-			}
+			wire.PutPayload(f.buf)
 			st.nextSeq++
 		}
 		st.recvCond.Broadcast()
@@ -228,13 +203,6 @@ func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
 	return nil
 }
 
-func (st *Stream) deliverEOF() {
-	st.recvMu.Lock()
-	st.recvEOF = true
-	st.recvCond.Broadcast()
-	st.recvMu.Unlock()
-}
-
 // grantSendWindow adds peer credit and wakes writers.
 func (st *Stream) grantSendWindow(delta int) {
 	st.sendMu.Lock()
@@ -265,9 +233,7 @@ func (st *Stream) closeWithError(err error) {
 // drops the ones that never came from it). Caller holds recvMu.
 func (st *Stream) releaseOOOLocked() {
 	for _, f := range st.ooo {
-		if f.buf != nil {
-			wire.PutPayload(f.buf)
-		}
+		wire.PutPayload(f.buf)
 	}
 	st.ooo = nil
 	st.oooBytes = 0
@@ -305,9 +271,9 @@ func (st *Stream) Read(p []byte) (int, error) {
 // lock; concurrent readers keep accumulating rather than banking the same
 // credit twice, and the loop re-checks after each send so credit owed
 // meanwhile is never stranded. With a static target the owed amount is
-// exactly the bytes consumed since the last grant — the classic behavior;
-// with an adaptive target the same arithmetic also grows (or starves)
-// the window as the estimator moves.
+// exactly the bytes consumed since the last grant; with a moving target
+// the same arithmetic also grows (or starves) the window as the
+// estimator moves.
 func (st *Stream) sendPendingGrant() {
 	st.recvMu.Lock()
 	for st.recvErr == nil && !st.grantInFlight {
@@ -351,32 +317,19 @@ func (st *Stream) waitRecvLocked() bool {
 	return time.Now().Before(deadline) || st.recvBuf.Len() > 0 || st.recvEOF || st.recvErr != nil
 }
 
-// Write implements net.Conn. Data is segmented into DATA frames and paced
-// by the peer's receive window. On an unbonded stream each segment is
-// gathered straight from p into the primary writer's coalescing buffer —
-// no intermediate payload slice; on a bonded stream each segment is
-// copied into a pooled buffer (it must survive for retransmit) and
-// sprayed across member connections.
+// Write implements net.Conn. Data is segmented into DATAQ frames paced
+// by the peer's receive window; sendFrame says where each goes.
 func (st *Stream) Write(p []byte) (int, error) {
 	total := 0
+	var hdr [12]byte
 	for len(p) > 0 {
 		n, err := st.reserveSend(len(p))
 		if err != nil {
 			return total, err
 		}
-		if st.bonded {
-			// The copy outlives this Write for possible retransmit.
-			buf := seqPayload(n)
-			copy(buf, p[:n])
-			if err := st.sendSeq(false, buf); err != nil {
-				return total, err
-			}
-		} else {
-			var hdr [4]byte
-			if err := st.session.w.WriteFramev(frameDATA,
-				wire.AppendUint32(hdr[:0], st.id), p[:n]); err != nil {
-				return total, st.session.writeFailed(fmt.Errorf("tunnel: send DATA: %w", err))
-			}
+		parts := [2][]byte{hdr[:], p[:n]}
+		if err := st.sendSeq(false, n, parts[:]); err != nil {
+			return total, err
 		}
 		total += n
 		p = p[n:]
@@ -386,68 +339,43 @@ func (st *Stream) Write(p []byte) (int, error) {
 
 // WriteBuffers writes the concatenation of segs as stream data without
 // assembling them into one contiguous slice first (net.Buffers-style):
-// each DATA frame gathers directly from as many segments as fit, so small
-// prefixes (length fields, checksums) ride in the same frame as the bulk
-// payload that follows them. Frame boundaries fall exactly as if the
-// segments had been written back-to-back with Write. On a bonded stream
-// the gather target is the retransmit buffer rather than the primary
-// writer's lane, preserving the single-copy property.
+// each DATAQ frame gathers directly from as many segments as fit, so
+// small prefixes (length fields, checksums) ride in the same frame as the
+// bulk payload that follows them. Frame boundaries fall exactly as if the
+// segments had been written back-to-back with Write. The gather target is
+// the primary writer's coalescing buffer or a secondary's retransmit
+// copy, so either way the payload is copied once.
 func (st *Stream) WriteBuffers(segs ...[]byte) (int64, error) {
 	remaining := 0
 	for _, seg := range segs {
 		remaining += len(seg)
 	}
 	var total int64
+	var hdr [12]byte
 	parts := make([][]byte, 1, len(segs)+1)
-	var hdr [4]byte
 	i, off := 0, 0
 	for remaining > 0 {
 		n, err := st.reserveSend(remaining)
 		if err != nil {
 			return total, err
 		}
-		if st.bonded {
-			// Gather the segments straight into the retransmit buffer
-			// and spray it.
-			buf := seqPayload(n)
-			w := 0
-			for w < n {
-				seg := segs[i][off:]
-				if len(seg) == 0 {
-					i, off = i+1, 0
-					continue
-				}
-				take := copy(buf[w:], seg)
-				off += take
-				w += take
-			}
-			if err := st.sendSeq(false, buf); err != nil {
-				return total, err
-			}
-			total += int64(n)
-			remaining -= n
-			continue
-		}
-		// The writer copies every part into its coalescing buffer before
-		// returning, so hdr and parts can be reused per frame.
+		// sendSeq copies every part before returning, so hdr and parts
+		// can be reused per frame.
 		parts = parts[:1]
-		parts[0] = wire.AppendUint32(hdr[:0], st.id)
+		parts[0] = hdr[:]
 		for k := n; k > 0; {
 			seg := segs[i][off:]
 			if len(seg) == 0 {
 				i, off = i+1, 0
 				continue
 			}
-			take := len(seg)
-			if take > k {
-				take = k
-			}
+			take := min(len(seg), k)
 			parts = append(parts, seg[:take])
 			off += take
 			k -= take
 		}
-		if err := st.session.w.WriteFramev(frameDATA, parts...); err != nil {
-			return total, st.session.writeFailed(fmt.Errorf("tunnel: send DATA: %w", err))
+		if err := st.sendSeq(false, n, parts); err != nil {
+			return total, err
 		}
 		total += int64(n)
 		remaining -= n
@@ -522,12 +450,11 @@ func (st *Stream) CloseWrite() error {
 	st.sendClosed = true
 	st.sendCond.Broadcast()
 	st.sendMu.Unlock()
-	if st.bonded {
-		// FIN takes a sequence slot so it cannot overtake data in flight
-		// on another member connection.
-		return st.sendSeq(true, nil)
-	}
-	return st.session.w.WriteFrame(frameFIN, wire.AppendUint32(nil, st.id))
+	// FINQ takes a sequence slot so it cannot overtake data in flight on
+	// another member connection.
+	var hdr [12]byte
+	parts := [1][]byte{hdr[:]}
+	return st.sendSeq(true, 0, parts[:])
 }
 
 // Close fully closes the stream and releases it from the session.

@@ -16,7 +16,7 @@ var errDuplicateStream = errors.New("tunnel: duplicate stream id")
 const tableShards = 8
 
 // streamTable maps stream ids to streams. It replaces a single
-// session-wide mutex on the frame dispatch path: every inbound DATA frame
+// session-wide mutex on the frame dispatch path: every inbound data frame
 // does one lookup, and under a global lock that lookup serializes against
 // stream setup/teardown and every other frame. Lookups here take only a
 // per-shard read lock, and the live count is maintained as an atomic so

@@ -10,11 +10,12 @@
 // between the source and the destination"). This package provides that
 // multiplexer with per-stream flow control so one bulk stream cannot starve
 // the control channel. Because that one connection is the global bottleneck
-// between two sites, a session may bond k connections: sequenced data
-// frames are sprayed across members by least-outstanding-bytes and
-// reassembled in order per stream on the far side (see bond.go), and the
-// per-stream window can be sized adaptively from measured RTT and delivery
-// rate instead of a fixed constant (see flow.go).
+// between two sites, a session may bond k connections. Every stream sends
+// sequenced data frames (DATAQ/FINQ), whatever the bond width: a single
+// connection is a bond of one. Frames go to the member with the least
+// outstanding bytes and are reassembled in order per stream on the far
+// side (see bond.go), and every per-stream window is sized from measured
+// RTT and delivery rate, clamped to [WindowMin, WindowMax] (see flow.go).
 //
 // Wire format: every tunnel frame is a wire.Frame whose payload begins with
 // a 4-byte big-endian stream id (bond join/ack frames excepted; see below).
@@ -40,19 +41,20 @@ const (
 	frameSYN    byte = 0x10 // open stream; payload after id = metadata
 	frameSYNACK byte = 0x11 // accept stream
 	frameRST    byte = 0x12 // refuse/abort stream
-	frameDATA   byte = 0x13 // stream data
-	frameFIN    byte = 0x14 // half-close from sender
+	// 0x13 and 0x14 were the unsequenced DATA/FIN of older builds. They
+	// are retired: a peer still sending them ends the session as a
+	// sender of unknown frame types.
 	frameWINDOW byte = 0x15 // receive-window credit grant (uint32 delta)
 	framePING   byte = 0x16 // liveness probe (8-byte nonce)
 	framePONG   byte = 0x17 // probe reply
 	frameGOAWAY byte = 0x18 // session shutdown
 
-	// Bonding frames. BONDJOIN is the first (and only raw) frame on a
-	// joining member connection: [bond id 16B][conn index u8]. BONDACK
-	// carries cumulative per-connection delivery counts back to the
-	// sender: [count u8] then count × ([conn index u8][received u64]).
-	// DATAQ/FINQ are the sequenced forms of DATA/FIN used by bonded
-	// streams: [stream id u32][stream seq u64][payload...].
+	// Bonding and data frames. BONDJOIN is the first (and only raw)
+	// frame on a joining member connection: [bond id 16B][conn index u8].
+	// BONDACK carries cumulative per-connection delivery counts back to
+	// the sender: [count u8] then count × ([conn index u8][received u64]).
+	// DATAQ/FINQ carry every stream's data and half-close:
+	// [stream id u32][stream seq u64][payload...].
 	frameBONDJOIN byte = 0x19
 	frameBONDACK  byte = 0x1A
 	frameDATAQ    byte = 0x1B
@@ -61,15 +63,17 @@ const (
 
 // Flow-control and segmentation defaults.
 const (
-	// DefaultWindow is the initial per-stream receive window.
+	// DefaultWindow is the receive credit every stream starts with on
+	// both ends, whatever either end's [WindowMin, WindowMax]: the two
+	// ends agree on it without an exchange, and the receiver's grants
+	// then move the window to its own clamped target.
 	DefaultWindow = 256 << 10
-	// maxSegment is the largest DATA payload per frame.
+	// maxSegment is the largest DATAQ payload per frame.
 	maxSegment = 64 << 10
 
-	// DefaultWindowMin / DefaultWindowMax clamp the adaptive per-stream
-	// window (Config.Adaptive): it never shrinks below Min even when the
-	// estimators read a tiny BDP, and never grows beyond Max no matter
-	// how fat the pipe looks.
+	// DefaultWindowMin / DefaultWindowMax clamp the per-stream window: it
+	// never shrinks below Min even when the estimators read a tiny BDP,
+	// and never grows beyond Max no matter how fat the pipe looks.
 	DefaultWindowMin = 64 << 10
 	DefaultWindowMax = 4 << 20
 	// DefaultBDPGain multiplies the measured bandwidth-delay product
@@ -116,10 +120,6 @@ var (
 
 // Config parameterizes a Session.
 type Config struct {
-	// Window is the initial receive window per stream. Zero means
-	// DefaultWindow. With Adaptive set, this is only the starting point;
-	// the window then tracks the measured bandwidth-delay product.
-	Window int
 	// MaxStreams bounds concurrently open streams. Zero means 1024.
 	MaxStreams int
 	// AcceptBacklog bounds streams opened by the peer but not yet
@@ -127,15 +127,15 @@ type Config struct {
 	// rank nearly simultaneously).
 	AcceptBacklog int
 
-	// Adaptive enables RTT-adaptive flow control: a background prober
-	// measures per-connection RTT (PING) and delivery rate, and WINDOW
-	// grants are sized to BDPGain × bandwidth × min-RTT, gain-cycled and
-	// clamped to [WindowMin, WindowMax] and by MemBudget across the
-	// session's streams. Off, grants replenish a fixed Window exactly as
-	// before.
-	Adaptive bool
-	// WindowMin / WindowMax clamp the adaptive window. Zero means
-	// DefaultWindowMin / DefaultWindowMax.
+	// WindowMin / WindowMax clamp the per-stream receive window. A
+	// background prober measures per-connection RTT (PING) and delivery
+	// rate, and WINDOW grants are sized to BDPGain × bandwidth × min-RTT,
+	// gain-cycled and clamped to [WindowMin, WindowMax] and by MemBudget
+	// across the session's streams. Every stream starts with
+	// DefaultWindow of credit whatever the range, so the two ends of a
+	// session may clamp differently; the window target starts at
+	// DefaultWindow clamped into the range. WindowMin == WindowMax is a
+	// static window. Zero means DefaultWindowMin / DefaultWindowMax.
 	WindowMin int
 	WindowMax int
 	// BDPGain scales the measured BDP when sizing the window. Zero means
@@ -160,9 +160,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 1024
 	}
@@ -195,6 +192,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// initialTarget is the window target until the estimators have samples.
+func (c Config) initialTarget() int {
+	return min(max(DefaultWindow, c.WindowMin), c.WindowMax)
+}
+
 // pongWaiter tracks one outstanding PING. Callers of Ping wait on ch;
 // prober probes (ch nil) exist only so the PONG handler can attribute the
 // RTT sample to the member connection it arrives on.
@@ -209,10 +211,8 @@ type pongWaiter struct {
 type Session struct {
 	conn net.Conn
 	cfg  Config
-	// w is the primary member's writer; all non-sequenced frames (the
-	// whole control plane, plus legacy DATA/FIN) ride it, so a session
-	// that never bonds behaves exactly as a single-connection session
-	// always has.
+	// w is the primary member's writer; the whole control plane rides
+	// it.
 	w *wire.Writer
 
 	// members is the immutable snapshot of live member connections,
@@ -222,14 +222,13 @@ type Session struct {
 	members atomic.Pointer[[]*member]
 	// bondMu serializes membership changes only; it is never held across
 	// I/O.
-	bondMu     sync.Mutex
-	bondActive atomic.Bool
+	bondMu sync.Mutex
 
 	// table holds live streams; frame dispatch looks streams up through
 	// it without touching s.mu (which guards only the cold state below).
 	table *streamTable
 	// Hot-path counters resolved once at session setup; the registry map
-	// lookup is too expensive per DATA frame.
+	// lookup is too expensive per data frame.
 	bytesTunneled  *metrics.Counter
 	streamsOpened  *metrics.Counter
 	bondFailovers  *metrics.Counter
@@ -245,7 +244,6 @@ type Session struct {
 	// prober differentiates it into a delivery rate.
 	flow      flowState
 	delivered atomic.Int64
-	proberOn  atomic.Bool
 
 	// pingSeq generates unique probe nonces.
 	pingSeq atomic.Uint64
@@ -263,6 +261,9 @@ type Session struct {
 	acceptCh chan *Stream
 	done     chan struct{}
 	closeOne sync.Once
+	// readers counts member read loops. Each is added before its member
+	// is visible to shutdown, so Close can wait for all of them.
+	readers sync.WaitGroup
 }
 
 // Client starts a session on the dialing side of conn.
@@ -311,13 +312,14 @@ func newSession(conn net.Conn, cfg Config, firstID uint32, r *wire.Reader, first
 	if r == nil {
 		r = wire.NewReader(conn)
 	}
+	s.readers.Add(1)
 	//lint:allow-leak readLoop is supervised by the connection, not a
 	// context: Close (and any peer disconnect) closes conn, the blocked
 	// ReadFrame fails, and the loop exits.
 	go s.readLoop(primary, r, first)
-	if cfg.Adaptive {
-		s.startProber()
-	}
+	//lint:allow-leak probeLoop is supervised by the session: it selects
+	// on s.done every tick and exits when the session shuts down.
+	go s.probeLoop()
 	return s
 }
 
@@ -326,8 +328,8 @@ func newSession(conn net.Conn, cfg Config, firstID uint32, r *wire.Reader, first
 // session).
 func (s *Session) liveMembers() []*member { return *s.members.Load() }
 
-// BondWidth reports the number of live member connections (1 for an
-// unbonded session).
+// BondWidth reports the number of live member connections (1 for a
+// session that never bonded).
 func (s *Session) BondWidth() int { return len(s.liveMembers()) }
 
 // SmoothedRTT returns the smallest smoothed RTT measured across live
@@ -446,9 +448,12 @@ func (s *Session) Ping(ctx context.Context) error {
 func (s *Session) NumStreams() int { return s.table.len() }
 
 // Close shuts the session down: all streams fail, the underlying
-// connections are closed.
+// connections are closed. It returns once every member's read loop has
+// stopped, so no frame is dispatched and no stream created after it.
 func (s *Session) Close() error {
-	return s.shutdown(ErrSessionClosed, true)
+	err := s.shutdown(ErrSessionClosed, true)
+	s.readers.Wait()
+	return err
 }
 
 // Done returns a channel closed when the session terminates.
@@ -528,8 +533,10 @@ func (s *Session) shutdown(err error, sendGoaway bool) error {
 		// Snapshot only after the closed flag is visible: an Open or
 		// handleSYN that missed the flag has already inserted its stream
 		// (so it appears here); one that saw it cleans up after itself.
+		// Every stream leaves the table, so a dead session counts none.
 		for _, st := range s.table.snapshot() {
 			st.closeWithError(err)
+			s.table.remove(st.id)
 		}
 		close(s.done)
 		// The membership snapshot is likewise taken after closed is set:
@@ -556,13 +563,14 @@ func (s *Session) removeStream(id uint32) { s.table.remove(id) }
 // readLoop dispatches frames inbound on one member connection until it
 // dies. It reads through the wire payload pool: the loop is the single
 // owner of each leased payload — every dispatch path that keeps bytes
-// copies them before returning (deliver copies into the recv buffer,
-// deliverSeq copies out-of-order segments into their own leases,
+// copies them before returning (deliverSeq copies in-order data into the
+// recv buffer and out-of-order segments into buffers of their own,
 // handleSYN copies meta, the PONG echo is coalesced into the writer
 // before WriteControl returns) — so the lease is released here,
 // unconditionally, after dispatch. A secondary member's death fails over;
 // the primary's death (or any protocol error) kills the session.
 func (s *Session) readLoop(m *member, r *wire.Reader, first *wire.Frame) {
+	defer s.readers.Done()
 	if first != nil {
 		derr := s.dispatch(m, *first)
 		wire.PutPayload(first.Payload)
@@ -663,32 +671,18 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 			st.closeWithError(ErrStreamRefused)
 		}
 		return nil
-	case frameDATA:
-		st := s.table.get(id)
-		if st == nil {
-			// Stream already gone; drop silently (late data after
-			// local close is normal).
-			return nil
-		}
-		s.bytesTunneled.Add(int64(len(rest)))
-		s.delivered.Add(int64(len(rest)))
-		return st.deliver(rest)
-	case frameFIN:
-		if st := s.table.get(id); st != nil {
-			st.deliverEOF()
-		}
-		return nil
 	case frameWINDOW:
 		if st := s.table.get(id); st != nil && len(rest) >= 4 {
 			delta := wire.NewBuffer(rest).Uint32()
 			st.grantSendWindow(int(delta))
 		}
 		return nil
-	case frameDATAQ:
+	case frameDATAQ, frameFINQ:
 		// An empty DATAQ costs no window credit, so a peer could park
-		// them without bound; only FINQ may be empty.
-		if len(rest) <= 8 {
-			return fmt.Errorf("tunnel: short or empty DATAQ for stream %d", id)
+		// them without bound. A FINQ carries no data at all.
+		fin := frame.Type == frameFINQ
+		if len(rest) < 8 || (len(rest) == 8) != fin {
+			return fmt.Errorf("tunnel: malformed %#x for stream %d", frame.Type, id)
 		}
 		// Count the arrival before the stream lookup: the sender's
 		// retention drains on these acks even when the local stream is
@@ -698,21 +692,13 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 		data := rest[8:]
 		st := s.table.get(id)
 		if st == nil {
+			// Stream already gone; drop silently (late data after
+			// local close is normal).
 			return nil
 		}
 		s.bytesTunneled.Add(int64(len(data)))
 		s.delivered.Add(int64(len(data)))
-		return st.deliverSeq(seq, data, false)
-	case frameFINQ:
-		if len(rest) < 8 {
-			return fmt.Errorf("tunnel: short FINQ for stream %d", id)
-		}
-		m.countSeqArrival(s)
-		seq := wire.NewBuffer(rest).Uint64()
-		if st := s.table.get(id); st != nil {
-			return st.deliverSeq(seq, nil, true)
-		}
-		return nil
+		return st.deliverSeq(seq, data, fin)
 	default:
 		return fmt.Errorf("tunnel: unknown frame type %#x", frame.Type)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestMetaDelivered(t *testing.T) {
 func TestLargeTransferExceedsWindow(t *testing.T) {
 	// Transfers much larger than the flow-control window exercise WINDOW
 	// credit replenishment.
-	client, server := pair(t, Config{Window: 16 << 10})
+	client, server := pair(t, Config{WindowMin: 16 << 10, WindowMax: 16 << 10})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -340,7 +341,7 @@ func TestReadDeadline(t *testing.T) {
 func errDeadline(err error) error { return err }
 
 func TestWriteBlockedByWindowRespectsDeadline(t *testing.T) {
-	client, server := pair(t, Config{Window: 4096})
+	client, server := pair(t, Config{WindowMin: 4096, WindowMax: 4096})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	go func() {
@@ -497,11 +498,16 @@ func TestAcceptBacklogRefusesExcessStreams(t *testing.T) {
 }
 
 // rawPeer gives a test direct frame-level access to one side of a
-// session, for protocol-violation injection.
+// session, for protocol-violation injection. Its streams start with
+// DefaultWindow of credit, as every stream does, and then run on a static
+// 8 KiB window. Its prober never ticks within a test, so the frames the
+// raw side reads are the ones the test provoked: no PINGs and no
+// straggler BONDACK sweeps in between (a BONDACK still follows every
+// 16 DATAQ frames the raw side sends).
 func rawPeer(t *testing.T) (*Session, net.Conn) {
 	t.Helper()
 	conn, raw := memConnPair(t)
-	session := Server(conn, Config{Window: 8 << 10})
+	session := Server(conn, Config{WindowMin: 8 << 10, WindowMax: 8 << 10, ProbeInterval: time.Hour})
 	t.Cleanup(func() { _ = session.Close() })
 	return session, raw
 }
@@ -617,48 +623,55 @@ func TestWindowOverrunKillsSession(t *testing.T) {
 	if _, err := session.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// ... then flood it far past the 8 KiB receive window without any
+	// ... then flood it past its initial credit, in order, without any
 	// reads happening.
-	chunk := make([]byte, 0, 4+4096)
-	chunk = wire.AppendUint32(chunk, 1)
-	chunk = append(chunk, make([]byte, 4096)...)
-	for i := 0; i < 16; i++ {
-		if err := w.WriteFrame(0x13, chunk); err != nil {
+	for seq := uint64(0); seq*maxSegment <= DefaultWindow; seq++ {
+		if err := w.WriteFrame(frameDATAQ, dataq(seq, make([]byte, maxSegment))); err != nil {
 			break // session may already have torn down the conn
 		}
 	}
 	select {
 	case <-session.Done():
-		if session.Err() == nil {
-			t.Error("session died without recording the violation")
+		if err := session.Err(); err == nil || !strings.Contains(err.Error(), "receive window overrun") {
+			t.Errorf("session ended with %v, want a receive window overrun", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("window overrun tolerated")
 	}
 }
 
+// TestUnknownFrameTypeKillsSession also covers 0x13 and 0x14, the
+// unsequenced DATA/FIN of older builds: a peer still sending them ends
+// the session rather than having its data mistaken for anything else.
 func TestUnknownFrameTypeKillsSession(t *testing.T) {
-	session, raw := rawPeer(t)
-	w := wire.NewWriter(raw)
-	if err := w.WriteFrame(0x7F, wire.AppendUint32(nil, 9)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-session.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("unknown frame type tolerated")
+	for _, typ := range []byte{0x7F, 0x13, 0x14} {
+		t.Run(fmt.Sprintf("%#x", typ), func(t *testing.T) {
+			session, raw := rawPeer(t)
+			w := wire.NewWriter(raw)
+			if err := w.WriteFrame(typ, wire.AppendUint32(nil, 9)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-session.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatalf("frame type %#x tolerated", typ)
+			}
+		})
 	}
 }
 
 func TestShortFrameKillsSession(t *testing.T) {
 	session, raw := rawPeer(t)
 	w := wire.NewWriter(raw)
-	// DATA frame with a 2-byte payload cannot carry a stream id.
-	if err := w.WriteFrame(0x13, []byte{1, 2}); err != nil {
+	// A DATAQ frame with a 2-byte payload cannot carry a stream id.
+	if err := w.WriteFrame(frameDATAQ, []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-session.Done():
+		if err := session.Err(); err == nil || !strings.Contains(err.Error(), "short frame") {
+			t.Errorf("session ended with %v, want a short frame violation", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("short frame tolerated")
 	}

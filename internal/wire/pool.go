@@ -3,8 +3,8 @@ package wire
 import "sync"
 
 // pooledPayloadCap is the capacity of pooled payload buffers. It covers
-// the tunnel's largest DATA frame (a 64 KiB segment plus the stream-id
-// prefix) and every control payload with slack to spare; larger frames
+// the tunnel's largest DATAQ frame (a 64 KiB segment plus its 12-byte
+// header) and every control payload with slack to spare; larger frames
 // (rare on the hot path) fall back to the heap.
 const pooledPayloadCap = 64<<10 + 128
 

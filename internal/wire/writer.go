@@ -127,10 +127,11 @@ type Writer struct {
 	flushedBatch uint64
 	flushing     bool
 
-	// seq numbers frames written through WriteFramevSeq, assigned in
-	// lane-append order under mu — which is exactly their wire order,
-	// since the bulk lane is flushed front-to-back and a failed flush
-	// poisons the writer before any later batch can pass it.
+	// seq numbers frames written through WriteFramevSeq and
+	// WriteSeqFrames, assigned in lane-append order under mu — which is
+	// exactly their wire order, since the bulk lane is flushed
+	// front-to-back and a failed flush poisons the writer before any
+	// later batch can pass it.
 	seq uint64
 
 	lingerTimer *time.Timer
@@ -184,8 +185,8 @@ func (w *Writer) WriteFramev(frameType byte, segs ...[]byte) error {
 // on success it returns this frame's position (1-based) in the writer's
 // wire order among all Seq-writes. A receiver counting such frames as
 // they arrive and reporting the count back therefore acknowledges an
-// exact prefix of the sequence, which is what the tunnel's bonded
-// retransmit bookkeeping relies on.
+// exact prefix of the sequence, which is what the tunnel's retransmit
+// and spray-balance bookkeeping relies on.
 func (w *Writer) WriteFramevSeq(frameType byte, segs ...[]byte) (uint64, error) {
 	return w.write(false, true, frameType, segs...)
 }
@@ -220,13 +221,8 @@ func (w *Writer) WriteSeqFrames(frames []SeqFrame) (uint64, error) {
 	}
 	w.arrivals.Add(1)
 	w.mu.Lock()
-	for w.err == nil && len(w.bulk.buf) >= w.maxPend {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		w.arrivals.Add(-1)
-		err := w.err
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if err := w.waitRoomLocked(false); err != nil {
 		return 0, err
 	}
 	var segs [2][]byte
@@ -237,27 +233,7 @@ func (w *Writer) WriteSeqFrames(frames []SeqFrame) (uint64, error) {
 		w.seq++
 	}
 	first := w.seq - uint64(len(frames)) + 1
-	mine := w.batch
-	w.arrivals.Add(-1)
-	if w.flushing {
-		w.cond.Broadcast()
-	}
-	for w.err == nil && w.flushedBatch <= mine {
-		if w.flushing {
-			w.cond.Wait()
-			continue
-		}
-		w.flushing = true
-		w.flushBatchLocked()
-		w.flushing = false
-		w.cond.Broadcast()
-	}
-	var err error
-	if w.flushedBatch <= mine {
-		err = w.err
-	}
-	w.mu.Unlock()
-	return first, err
+	return first, w.awaitFlushLocked()
 }
 
 // WriteControl writes one control-lane frame. Control frames skip the bulk
@@ -278,18 +254,10 @@ func (w *Writer) write(control, seq bool, frameType byte, segs ...[]byte) (uint6
 	if total > MaxPayload {
 		return 0, ErrFrameTooLarge
 	}
-
 	w.arrivals.Add(1)
 	w.mu.Lock()
-	if !control {
-		for w.err == nil && len(w.bulk.buf) >= w.maxPend {
-			w.cond.Wait()
-		}
-	}
-	if w.err != nil {
-		w.arrivals.Add(-1)
-		err := w.err
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if err := w.waitRoomLocked(control); err != nil {
 		return 0, err
 	}
 	ln := &w.bulk
@@ -302,13 +270,34 @@ func (w *Writer) write(control, seq bool, frameType byte, segs ...[]byte) (uint6
 		w.seq++
 		sq = w.seq
 	}
+	return sq, w.awaitFlushLocked()
+}
+
+// waitRoomLocked waits out bulk backpressure for an arrived writer,
+// unless its frame is for the control lane. It fails, withdrawing the
+// arrival, once the writer is poisoned. Caller holds w.mu.
+func (w *Writer) waitRoomLocked(control bool) error {
+	for !control && w.err == nil && len(w.bulk.buf) >= w.maxPend {
+		w.cond.Wait()
+	}
+	if w.err != nil {
+		w.arrivals.Add(-1)
+		return w.err
+	}
+	return nil
+}
+
+// awaitFlushLocked is called right after a writer appended its frames to
+// the current batch. It waits until that batch has reached the
+// underlying writer, becoming the flusher itself when none is active.
+// Caller holds w.mu.
+func (w *Writer) awaitFlushLocked() error {
 	mine := w.batch
 	w.arrivals.Add(-1)
 	if w.flushing {
 		// The active flusher may be lingering for us; our frame is in.
 		w.cond.Broadcast()
 	}
-
 	for w.err == nil && w.flushedBatch <= mine {
 		if w.flushing {
 			w.cond.Wait()
@@ -321,12 +310,10 @@ func (w *Writer) write(control, seq bool, frameType byte, segs ...[]byte) (uint6
 		w.flushing = false
 		w.cond.Broadcast()
 	}
-	var err error
 	if w.flushedBatch <= mine {
-		err = w.err
+		return w.err
 	}
-	w.mu.Unlock()
-	return sq, err
+	return nil
 }
 
 // flushBatchLocked writes everything pending as one batch: an optional
