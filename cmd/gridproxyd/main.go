@@ -31,22 +31,35 @@
 //	node_speed  = 1.0
 //	announce    = 30s               # inventory re-announce interval
 //
-// Peer-lifecycle knobs (all optional; see internal/peerlink defaults):
+// Peer-layer knobs (all optional; see internal/peerlink defaults). Each
+// `peers` entry is pinned in the connection cache: a lost session to it
+// is redialed after breaker_min_open, then at doubling waits capped at
+// breaker_max_open (±20%), and heartbeats probe it while it is up.
 //
-//	backoff_min       = 200ms       # first redial delay after a link drops
-//	backoff_max       = 15s         # redial delay cap
-//	heartbeat         = 3s          # peer probe interval (negative disables)
+//	heartbeat         = 3s          # pinned-peer probe interval (negative disables)
 //	heartbeat_timeout = 1s          # per-probe deadline
 //	heartbeat_misses  = 3           # consecutive misses before redial
 //	rpc_timeout       = 10s         # default per-control-RPC deadline
 //	hello_timeout     = 10s         # inbound session identification deadline
 //	status_ttl        = 0           # serve cached global status this fresh
 //	                                 # (0 disables caching)
+//	max_tunnels       = 32          # live unpinned-tunnel LRU cap
+//	                                 # (negative unlimited)
+//	idle_close        = 2m          # close unpinned tunnels idle this long
+//	                                 # (negative disables)
+//	breaker_threshold = 3           # consecutive dial failures that open a
+//	                                 # peer's circuit (negative disables)
+//	breaker_min_open  = 500ms       # first backoff window: first breaker
+//	                                 # open, first redial of a pinned peer
+//	breaker_max_open  = 30s         # backoff window cap
 //
-// Membership/gossip knobs (all optional; see core.GossipConfig and
-// peerlink.CacheConfig defaults). With gossip on, `peers` only needs ONE
-// bootstrap entry: the directory learns every other site epidemically
-// and tunnels are dialed on demand.
+// The keys backoff_min and backoff_max are retired: a config that sets
+// them is refused, naming breaker_min_open and breaker_max_open.
+//
+// Membership/gossip knobs (all optional; see core.GossipConfig
+// defaults). With gossip on, `peers` only needs ONE bootstrap entry: the
+// directory learns every other site epidemically and tunnels are dialed
+// on demand.
 //
 //	gossip_interval   = 1s          # gossip round period (negative disables)
 //	summary_every     = 15s         # local status republication cadence
@@ -60,13 +73,6 @@
 //	                                 # a death rumor (negative disables)
 //	health_max        = 4           # Lifeguard local-health cap; timeouts
 //	                                 # stretch by (1 + score)
-//	max_tunnels       = 32          # live-tunnel LRU cap (negative unlimited)
-//	idle_close        = 2m          # close tunnels idle this long
-//	                                 # (negative disables)
-//	breaker_threshold = 3           # consecutive dial failures that open a
-//	                                 # peer's circuit (negative disables)
-//	breaker_min_open  = 500ms       # first open window, doubled per reopen
-//	breaker_max_open  = 30s         # open-window cap
 //
 // Job-lifecycle knobs (all optional; see internal/core defaults):
 //
@@ -186,7 +192,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	gossip, peerCache, err := gossipFromConfig(cfg)
+	gossip, err := gossipFromConfig(cfg)
 	if err != nil {
 		return err
 	}
@@ -240,7 +246,6 @@ func run() error {
 		Policy:     policy,
 		Lifecycle:  lifecycle,
 		Gossip:     gossip,
-		PeerCache:  peerCache,
 		Jobs:       jobs,
 		Stage:      stagecfg,
 		Tunnel:     tunnelcfg,
@@ -287,7 +292,7 @@ func run() error {
 				return fmt.Errorf("config: peers entry %q must be site=addr", entry)
 			}
 			if err := proxy.Connect(ctx, name, addr); err != nil {
-				log.Warn("peer connect failed (supervisor keeps retrying)", "site", name, "err", err)
+				log.Warn("peer connect failed (redials continue)", "site", name, "err", err)
 			}
 		}
 	}
@@ -346,18 +351,19 @@ func run() error {
 	return nil
 }
 
-// lifecycleFromConfig reads the peer-lifecycle knobs. Absent keys stay
-// zero so peerlink's defaults apply; negative durations disable the
-// corresponding mechanism.
+// lifecycleFromConfig reads the peer-layer knobs. Absent keys stay zero
+// so peerlink's defaults apply; negative values disable the
+// corresponding mechanism. The retired redial keys are refused rather
+// than ignored: a config still setting them would otherwise run on the
+// breaker's window and say nothing.
 func lifecycleFromConfig(cfg *config.Config) (peerlink.Config, error) {
 	var lc peerlink.Config
+	for _, key := range []string{"backoff_min", "backoff_max"} {
+		if cfg.Has(key) {
+			return lc, fmt.Errorf("config: %s is retired: pinned peers redial on the breaker window, set breaker_min_open/breaker_max_open instead", key)
+		}
+	}
 	var err error
-	if lc.BackoffMin, err = cfg.Duration("backoff_min", 0); err != nil {
-		return lc, err
-	}
-	if lc.BackoffMax, err = cfg.Duration("backoff_max", 0); err != nil {
-		return lc, err
-	}
 	if lc.HeartbeatInterval, err = cfg.Duration("heartbeat", 0); err != nil {
 		return lc, err
 	}
@@ -376,59 +382,58 @@ func lifecycleFromConfig(cfg *config.Config) (peerlink.Config, error) {
 	if lc.StatusTTL, err = cfg.Duration("status_ttl", 0); err != nil {
 		return lc, err
 	}
+	if lc.MaxTunnels, err = cfg.Int("max_tunnels", 0); err != nil {
+		return lc, err
+	}
+	if lc.IdleClose, err = cfg.Duration("idle_close", 0); err != nil {
+		return lc, err
+	}
+	if lc.BreakerThreshold, err = cfg.Int("breaker_threshold", 0); err != nil {
+		return lc, err
+	}
+	if lc.BreakerMinOpen, err = cfg.Duration("breaker_min_open", 0); err != nil {
+		return lc, err
+	}
+	if lc.BreakerMaxOpen, err = cfg.Duration("breaker_max_open", 0); err != nil {
+		return lc, err
+	}
 	return lc, nil
 }
 
-// gossipFromConfig reads the membership-gossip and connection-cache
-// knobs. Absent keys stay zero so the GossipConfig / CacheConfig
-// defaults apply; negative values disable the mechanism.
-func gossipFromConfig(cfg *config.Config) (core.GossipConfig, peerlink.CacheConfig, error) {
+// gossipFromConfig reads the membership-gossip knobs. Absent keys stay
+// zero so the GossipConfig defaults apply; negative values disable the
+// mechanism.
+func gossipFromConfig(cfg *config.Config) (core.GossipConfig, error) {
 	var gc core.GossipConfig
-	var cc peerlink.CacheConfig
 	var err error
 	if gc.Interval, err = cfg.Duration("gossip_interval", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.SummaryEvery, err = cfg.Duration("summary_every", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.Fanout, err = cfg.Int("gossip_fanout", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.SuspectAfter, err = cfg.Duration("suspect_after", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.DeadAfter, err = cfg.Duration("dead_after", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.DeadRetention, err = cfg.Duration("dead_retention", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.ProbeFanout, err = cfg.Int("probe_fanout", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.VouchWindow, err = cfg.Duration("vouch_window", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.HealthMax, err = cfg.Int("health_max", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
-	if cc.MaxTunnels, err = cfg.Int("max_tunnels", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.IdleClose, err = cfg.Duration("idle_close", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.BreakerThreshold, err = cfg.Int("breaker_threshold", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.BreakerMinOpen, err = cfg.Duration("breaker_min_open", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.BreakerMaxOpen, err = cfg.Duration("breaker_max_open", 0); err != nil {
-		return gc, cc, err
-	}
-	return gc, cc, nil
+	return gc, nil
 }
 
 // stageFromConfig reads the data-plane knobs. Absent keys stay zero so

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"gridproxy/internal/membership"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/monitor"
+	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
 )
 
@@ -86,7 +88,12 @@ func (p *Proxy) Directory() *membership.Directory { return p.members }
 // placement, staging, status and gossip all call it instead of assuming
 // a standing all-pairs mesh.
 func (p *Proxy) peerFor(ctx context.Context, site string) (*peer, error) {
-	return p.cache.Get(ctx, site)
+	pr, err := p.cache.Get(ctx, site)
+	if err != nil {
+		return nil, err
+	}
+	pr.awaitReady(ctx)
+	return pr, nil
 }
 
 // releasePeer hands a peerFor checkout back to the connection cache,
@@ -98,26 +105,34 @@ func (p *Proxy) releasePeer(pr *peer) {
 	p.cache.Release(pr.site, pr)
 }
 
-// dialOnDemand is the connection cache's dial function: resolve the site
-// through the directory, then run the normal connect handshake. A site
-// the directory does not know (or knows to be dead) is not dialable —
-// the caller sees ErrUnknownPeer exactly as it did under the old
-// must-be-connected roster.
-func (p *Proxy) dialOnDemand(ctx context.Context, site string) (*peer, error) {
-	e, ok := p.members.Lookup(site)
-	if !ok || e.Addr == "" {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPeer, site)
+// dialPeer is the connection cache's dial function: resolve the site
+// through the directory (unless the cache passes the address of a
+// configured peer or an explicit-address caller), then run the normal
+// connect handshake. A site the directory does not know (or knows to be
+// dead) is not dialable on demand — the caller sees ErrUnknownPeer
+// exactly as it did under the old must-be-connected roster.
+func (p *Proxy) dialPeer(ctx context.Context, site, addr string) (*peer, error) {
+	e, known := p.members.Lookup(site)
+	if addr == "" {
+		if !known || e.Addr == "" {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownPeer, site)
+		}
+		if e.State == membership.Dead {
+			return nil, fmt.Errorf("%w: %q is dead", ErrUnknownPeer, site)
+		}
+		addr = e.Addr
 	}
-	if e.State == membership.Dead {
-		return nil, fmt.Errorf("%w: %q is dead", ErrUnknownPeer, site)
-	}
-	pr, err := p.connectOnce(ctx, site, e.Addr, false, false)
+	pr, err := p.connectOnce(ctx, site, addr)
 	if err != nil {
 		// A failed dial is evidence against the site only if other
 		// members cannot reach it either; it is always evidence about
-		// our own connectivity (Lifeguard's local health).
-		p.members.NoteLocalProbe(false)
-		p.suspectSite(site)
+		// our own connectivity (Lifeguard's local health). A session
+		// the remote refused is neither, and a site already dead gains
+		// nothing from one more failure.
+		if !errors.Is(err, peerlink.ErrRefused) && !(known && e.State == membership.Dead) {
+			p.members.NoteLocalProbe(false)
+			p.suspectSite(site)
+		}
 		return nil, err
 	}
 	p.members.NoteLocalProbe(true)
@@ -196,10 +211,11 @@ func (p *Proxy) gossipRound(ctx context.Context) {
 // repairs both directories; failure is the expected outcome and changes
 // nothing.
 func (p *Proxy) deadProbe(ctx context.Context, target membership.Entry, push []proto.GossipEntry) {
-	pr, err := p.connectOnce(ctx, target.Site, target.Addr, false, true)
+	pr, err := p.cache.GetAt(ctx, target.Site, target.Addr)
 	if err != nil {
 		return
 	}
+	defer p.releasePeer(pr)
 	sync := &proto.GossipSync{From: p.site, Addr: p.wanAddr, Entries: push,
 		HasDigest: true, Digest: p.members.Digest()}
 	p.reg.Counter(metrics.GossipSyncs).Inc()

@@ -24,13 +24,12 @@ func TestSingleBootstrapLearnsGrid(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := site.TestbedConfig{
 		GridName:  "bootstrap",
-		Lifecycle: peerlink.Config{HeartbeatInterval: -1},
+		Lifecycle: peerlink.Config{HeartbeatInterval: -1, MaxTunnels: 3},
 		Gossip: core.GossipConfig{
 			Interval:     20 * time.Millisecond,
 			SummaryEvery: 50 * time.Millisecond,
 		},
-		PeerCache: peerlink.CacheConfig{MaxTunnels: 3},
-		Metrics:   reg,
+		Metrics: reg,
 	}
 	for i := 0; i < n; i++ {
 		cfg.Sites = append(cfg.Sites, site.SiteSpec{

@@ -22,8 +22,8 @@ import (
 // TestProxyRestartRecovers kills a whole site (proxy and nodes) and boots
 // a fresh one at the same addresses, then asserts peering, inventory, and
 // scheduling all recover WITHOUT operator action: the surviving proxy's
-// supervised link redials, re-exchanges inventories, and a multi-site MPI
-// job placed across both sites completes.
+// cache redials the pinned site, re-exchanges inventories, and a
+// multi-site MPI job placed across both sites completes.
 func TestProxyRestartRecovers(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := site.TestbedConfig{
@@ -33,8 +33,8 @@ func TestProxyRestartRecovers(t *testing.T) {
 			{Name: "siteb", Nodes: site.UniformNodes(2, 1)},
 		},
 		Lifecycle: peerlink.Config{
-			BackoffMin:        20 * time.Millisecond,
-			BackoffMax:        200 * time.Millisecond,
+			BreakerMinOpen:    20 * time.Millisecond,
+			BreakerMaxOpen:    200 * time.Millisecond,
 			HeartbeatInterval: -1,
 		},
 		Metrics: reg,
@@ -63,15 +63,11 @@ func TestProxyRestartRecovers(t *testing.T) {
 	}
 	fresh.RegisterProgram("sumranks", sumRanksProgram(nil))
 
-	// Peering: the supervised link must re-establish on its own. Waiting
-	// on the reconnect counter (not just the state) distinguishes the new
-	// session from the not-yet-reaped old one.
+	// Peering: the pinned site must be redialed on its own. Waiting on
+	// the reconnect counter (not just the peer list) distinguishes the
+	// new session from the not-yet-reaped old one.
 	waitFor(t, 15*time.Second, func() bool {
-		if reg.Counter(metrics.PeerReconnects).Value() < 1 {
-			return false
-		}
-		state, ok := a.PeerLinkState("siteb")
-		return ok && state == peerlink.StateEstablished && len(a.Peers()) == 1
+		return reg.Counter(metrics.PeerReconnects).Value() >= 1 && len(a.Peers()) == 1
 	})
 
 	// Inventory: the fresh site's nodes come back into the registry.
@@ -325,5 +321,65 @@ func TestWANListenerSurvivesBadHandshake(t *testing.T) {
 	}
 	if got := len(proxyA.Peers()); got != 1 {
 		t.Fatalf("peers after recovery = %d, want 1", got)
+	}
+}
+
+// TestCrossingConnectKeepsOneSession has two proxies Connect to each
+// other at the same instant, 30 times over fresh grids. Crossing dials
+// must settle on one session that both ends keep (the one dialed by the
+// lexically lower site) without either Connect failing, without either
+// directory reading the discarded session's close as a site death, and
+// without the refused dial counting against the breaker.
+func TestCrossingConnectKeepsOneSession(t *testing.T) {
+	for i := 0; i < 30; i++ {
+		reg := metrics.NewRegistry()
+		tb, err := site.NewTestbed(site.TestbedConfig{
+			GridName: "crossing",
+			Sites: []site.SiteSpec{
+				{Name: "sitea", Nodes: site.UniformNodes(1, 1)},
+				{Name: "siteb", Nodes: site.UniformNodes(1, 1)},
+			},
+			Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		a, b := tb.Sites[0].Proxy, tb.Sites[1].Proxy
+		barrier := make(chan struct{})
+		errs := make(chan error, 2)
+		for _, pair := range [][2]*core.Proxy{{a, b}, {b, a}} {
+			from, to := pair[0], pair[1]
+			go func() {
+				<-barrier
+				errs <- from.Connect(ctx, to.Site(), to.WANAddr())
+			}()
+		}
+		close(barrier)
+		for j := 0; j < 2; j++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("iteration %d: Connect: %v", i, err)
+			}
+		}
+		for _, pair := range [][2]*core.Proxy{{a, b}, {b, a}} {
+			from, to := pair[0], pair[1]
+			if got := from.Peers(); len(got) != 1 || got[0] != to.Site() {
+				t.Fatalf("iteration %d: %s peers = %v, want [%s]", i, from.Site(), got, to.Site())
+			}
+			if err := from.PingPeer(ctx, to.Site()); err != nil {
+				t.Fatalf("iteration %d: ping %s->%s: %v", i, from.Site(), to.Site(), err)
+			}
+		}
+		// The discarded session's close has been processed by now on
+		// both ends; give its watchers a moment to have read it.
+		time.Sleep(50 * time.Millisecond)
+		if got := reg.Counter(metrics.MemberDeaths).Value(); got != 0 {
+			t.Fatalf("iteration %d: member.deaths = %d, want 0", i, got)
+		}
+		if got := reg.Counter(metrics.PeerBreakerOpens).Value(); got != 0 {
+			t.Fatalf("iteration %d: peer.breaker.opens = %d, want 0", i, got)
+		}
+		cancel()
+		tb.Close()
 	}
 }

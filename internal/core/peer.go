@@ -37,6 +37,21 @@ type peer struct {
 	// idle close, or replacement) so watchPeer can tell an expected close
 	// from a site failure.
 	evicted atomic.Bool
+	// ready is closed when the connect-time exchange (inventory announce,
+	// status pull) over a session this proxy dialed is over; nil for an
+	// accepted session.
+	ready chan struct{}
+}
+
+// awaitReady waits out the connect-time exchange of a dialed session.
+func (pr *peer) awaitReady(ctx context.Context) {
+	if pr.ready == nil {
+		return
+	}
+	select {
+	case <-pr.ready:
+	case <-ctx.Done():
+	}
 }
 
 func (pr *peer) close() {
@@ -49,35 +64,39 @@ func (pr *peer) close() {
 func (pr *peer) Done() <-chan struct{} { return pr.session.Done() }
 func (pr *peer) Close() error          { pr.close(); return nil }
 
-// Connect dials the proxy of a remote site, performs the Hello exchange,
-// and announces this site's inventory. It is idempotent: connecting to an
-// already-connected site returns nil. Connect also registers the site
-// with the peer-lifecycle supervisor, so even when the synchronous
-// attempt fails (or the link later drops) the proxy keeps redialing with
-// backoff until it is stopped. Connected bootstrap peers are pinned in
-// the connection cache: the supervisor owns their lifetime, not the LRU.
+// Connect makes site a configured peer reached at wanAddr: it pins the
+// site in the connection cache and makes one synchronous attempt to
+// hold a session to it (dial, Hello exchange, inventory announce). It is
+// idempotent: connecting to an already-connected site returns nil. Even
+// when the attempt fails, or the session later drops, the cache keeps
+// redialing wanAddr on the breaker's backoff window until the proxy is
+// stopped, and heartbeats the session while it is up.
 func (p *Proxy) Connect(ctx context.Context, site, wanAddr string) error {
-	_, err := p.connectOnce(ctx, site, wanAddr, true, true)
-	p.superviseLink(site, wanAddr)
-	return err
+	p.mu.Lock()
+	stopped := p.stopped
+	p.mu.Unlock()
+	if stopped {
+		return ErrStopped
+	}
+	if err := p.cache.Pin(ctx, site, wanAddr); err != nil {
+		return err
+	}
+	if pr, ok := p.cache.Peek(site); ok {
+		pr.awaitReady(ctx)
+	}
+	return nil
 }
 
-// connectOnce performs one dial + Hello exchange, returning the
-// (possibly pre-existing) peer. With register it adds the session to the
-// connection cache itself (the Connect/supervisor path); without, the
-// caller owns registration — the cache's dial-on-demand path inserts the
-// session atomically with its checkout, so it is never cached at zero
-// references where LRU pressure from a concurrent fan-out could close it
-// mid-handshake.
-func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, register bool) (*peer, error) {
+// connectOnce performs one dial + Hello exchange and returns the new
+// peer, starting its connect-time exchange (see peer.ready); the
+// connection cache, which made the call, inserts it. A crossing dial the
+// remote refused returns an error wrapping peerlink.ErrRefused.
+func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, error) {
 	p.mu.Lock()
 	stopped := p.stopped
 	p.mu.Unlock()
 	if stopped {
 		return nil, ErrStopped
-	}
-	if pr, ok := p.cache.Peek(site); ok {
-		return pr, nil
 	}
 
 	conn, err := p.wan.Dial(ctx, wanAddr)
@@ -92,9 +111,17 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	}
 	// The handler needs the session identity for session-scoped messages
 	// (PeerBye), but the peer is only built after the Hello exchange —
-	// bind it late. Nothing session-scoped arrives before Hello.
+	// bind it late. A PeerBye can beat the binding: the remote discards
+	// this session as soon as it has acked our Hello when a crossing
+	// dial won the tie-break there. byed remembers it (set before the
+	// load of bound, read after the store: one side always sees the
+	// other), so the close still reads as expected.
 	var bound atomic.Pointer[peer]
+	var byed atomic.Bool
 	handler := func(ctx context.Context, msg proto.Message) (proto.Body, error) {
+		if msg.Code == proto.CodePeerBye {
+			byed.Store(true)
+		}
 		return p.handleSessionControl(ctx, bound.Load(), msg)
 	}
 	ctrl := newRPC(p.ctx, ctrlStream, roleDialer, handler, p.log.Named("ctrl."+site), p.reg)
@@ -124,6 +151,12 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	if err != nil {
 		ctrl.close()
 		_ = session.Close()
+		// Refused as a duplicate, or released (PeerBye) before the
+		// reply — a crossing dial that won there, or the remote's cache
+		// pressure: the remote is up and chose to drop this session.
+		if statusOf(err) == proto.StatusDuplicate || byed.Load() {
+			return nil, fmt.Errorf("core: hello to %s: %w", site, peerlink.ErrRefused)
+		}
 		return nil, fmt.Errorf("core: hello to %s: %w", site, err)
 	}
 	ack, ok := reply.(*proto.HelloAck)
@@ -160,19 +193,10 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 		p.log.Info("bonded tunnel established", "site", site, "conns", session.BondWidth())
 	}
 
-	pr := &peer{site: site, session: session, ctrl: ctrl}
+	pr := &peer{site: site, session: session, ctrl: ctrl, ready: make(chan struct{})}
 	bound.Store(pr)
-	if register {
-		if !p.cache.Add(site, pr, pinned) {
-			// A crossing dial from the remote registered a session for
-			// this site while we were dialing (or the proxy is
-			// stopping). Keep the established one and discard ours.
-			pr.close()
-			if cur, ok := p.cache.Peek(site); ok {
-				return cur, nil
-			}
-			return nil, ErrStopped
-		}
+	if byed.Load() {
+		pr.evicted.Store(true)
 	}
 	p.members.ObserveAlive(site, wanAddr)
 	p.wg.Add(1)
@@ -181,83 +205,22 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	go p.watchPeer(pr)
 
 	// Announce our inventory so the remote scheduler can place work
-	// here, and pull theirs.
-	if err := p.announceTo(ctx, pr); err != nil {
-		p.log.Warn("inventory announce failed", "peer", site, "err", err)
-	}
-	if err := p.queryPeerStatus(ctx, pr); err != nil {
-		p.log.Warn("initial status query failed", "peer", site, "err", err)
-	}
-	p.log.Info("connected to peer", "site", site, "addr", wanAddr)
-	return pr, nil
-}
-
-// superviseLink registers a peer with the lifecycle supervisor
-// (idempotent). Supervision only runs on the dialing side: the accepting
-// side of a link relies on the remote to redial.
-func (p *Proxy) superviseLink(site, wanAddr string) {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return
-	}
-	if _, ok := p.links[site]; ok {
-		p.mu.Unlock()
-		return
-	}
-	link := peerlink.New(site, p.lifecycle, p.peerDialer(site, wanAddr), p.peerProber(site))
-	p.links[site] = link
-	p.mu.Unlock()
+	// here, and pull theirs. The exchange runs while the cache inserts
+	// the session (Connect and peerFor wait for it), so a remote that
+	// evicts the session meanwhile costs the exchange, not the connect.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		link.Run(p.ctx)
+		defer close(pr.ready)
+		if err := p.announceTo(p.ctx, pr); err != nil {
+			p.log.Warn("inventory announce failed", "peer", site, "err", err)
+		}
+		if err := p.queryPeerStatus(p.ctx, pr); err != nil {
+			p.log.Warn("initial status query failed", "peer", site, "err", err)
+		}
+		p.log.Info("connected to peer", "site", site, "addr", wanAddr)
 	}()
-}
-
-// peerDialer adapts connectOnce into the supervisor's DialFunc. It
-// adopts a live session established by other means (the synchronous
-// Connect, or a crossing inbound dial from the remote) instead of
-// dialing a duplicate. A failed dial is direct evidence against the site
-// and feeds the membership suspicion machinery.
-func (p *Proxy) peerDialer(site, wanAddr string) peerlink.DialFunc {
-	return func(ctx context.Context) (peerlink.Session, error) {
-		if pr, ok := p.cache.Peek(site); ok {
-			select {
-			case <-pr.session.Done():
-				// Stale entry on its way out; fall through to redial.
-			default:
-				return pr, nil
-			}
-		}
-		pr, err := p.connectOnce(ctx, site, wanAddr, true, true)
-		if err != nil {
-			p.members.NoteLocalProbe(false)
-			p.suspectSite(site)
-			return nil, err
-		}
-		p.members.NoteLocalProbe(true)
-		return pr, nil
-	}
-}
-
-// peerProber adapts PingPeer into the supervisor's heartbeat probe.
-func (p *Proxy) peerProber(site string) peerlink.ProbeFunc {
-	return func(ctx context.Context) error {
-		return p.PingPeer(ctx, site)
-	}
-}
-
-// PeerLinkState reports the supervised lifecycle state of a site's link.
-// Only links registered via Connect (the dialing side) are supervised.
-func (p *Proxy) PeerLinkState(site string) (peerlink.State, bool) {
-	p.mu.Lock()
-	link, ok := p.links[site]
-	p.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return link.State(), true
+	return pr, nil
 }
 
 // PeerBondWidth reports the connection fan-out and smoothed RTT of the
@@ -268,17 +231,6 @@ func (p *Proxy) PeerBondWidth(site string) (conns int, rtt time.Duration, ok boo
 		return 0, 0, false
 	}
 	return pr.session.BondWidth(), pr.session.SmoothedRTT(), true
-}
-
-// KickPeer asks the supervisor to retry a site's link now instead of
-// waiting out the current backoff.
-func (p *Proxy) KickPeer(site string) {
-	p.mu.Lock()
-	link, ok := p.links[site]
-	p.mu.Unlock()
-	if ok {
-		link.Kick()
-	}
 }
 
 // acceptWAN admits inbound proxy sessions. Host authentication already
@@ -405,27 +357,15 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 		return nil, badRequest("protocol version %d unsupported", hello.Version)
 	}
 	pr := &peer{site: hello.Site, session: pp.session, ctrl: pp.ctrl}
-	if !pp.proxy.cache.Add(hello.Site, pr, false) {
-		// A session for this site is already cached. With disposable
-		// on-demand tunnels that is routinely a dying predecessor — one
-		// we just evicted, or one whose bye beat this redial — so a
-		// dead or leaving session is replaced, and only a genuinely
-		// live duplicate (a crossing dial) is refused: the remote's
-		// dialer adopts the existing session when it sees the refusal.
-		cur, ok := pp.proxy.cache.Peek(hello.Site)
-		stale := false
-		if ok {
-			select {
-			case <-cur.session.Done():
-				stale = true
-			default:
-				stale = cur.evicted.Load()
-			}
-		}
-		if ok && !stale {
-			return nil, badRequest("core: peer %s already connected", hello.Site)
-		}
-		pp.proxy.cache.Put(hello.Site, pr, false)
+	if !pp.proxy.cache.Add(hello.Site, pr) {
+		// Crossing dials: this proxy holds a live session it dialed to
+		// the site, and its name is the lower one, so both ends keep
+		// that session. The remote's dialer reads the refusal and adopts
+		// the kept session, which its cache already holds (it was
+		// registered there before our Hello was acked). A stopping
+		// proxy refuses the same way; its close follows.
+		return nil, &statusError{status: proto.StatusDuplicate,
+			text: fmt.Sprintf("core: %s keeps the session it dialed to %s", pp.proxy.site, hello.Site)}
 	}
 	// The Hello carries the dialer's WAN address, so accepting a
 	// connection is also learning a dialable directory entry — this is
@@ -466,14 +406,6 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	return ack, nil
 }
 
-// watchPeer reacts to the peer's session ending. A teardown the
-// connection cache initiated (LRU eviction, idle close, replacement) is
-// expected: the site remains a live directory member and only the tunnel
-// goes away. Anything else is evidence of site failure: the directory
-// marks it dead (the rumor gossips out), its announced resources and
-// status leave the local view, and affected launches are rescheduled —
-// the failure-containment behaviour of E7: losing one proxy costs the
-// grid only that site.
 // byeTimeout bounds the courtesy PeerBye announcement on the eviction
 // path; a peer that cannot ack it in time just sees an unannounced close
 // and draws its own conclusions.
@@ -493,6 +425,15 @@ func (p *Proxy) evictPeer(site string, pr *peer) {
 	}
 }
 
+// watchPeer reacts to the peer's session ending. A teardown the
+// connection cache initiated (LRU eviction, idle close, replacement) is
+// expected: the site remains a live directory member and only the tunnel
+// goes away. Anything else is evidence of site failure: the directory
+// marks it dead (the rumor gossips out), its announced resources and
+// status leave the local view, and affected launches are rescheduled —
+// the failure-containment behaviour of E7: losing one proxy costs the
+// grid only that site. A configured peer closed by the cache's heartbeat
+// (HeartbeatMisses probes unanswered) is such a failure too.
 func (p *Proxy) watchPeer(pr *peer) {
 	defer p.wg.Done()
 	select {
@@ -646,13 +587,18 @@ func (p *Proxy) connectedPeers(include func(string) bool) ([]string, map[string]
 
 // PingPeer round-trips a liveness probe to one connected peer. The
 // monitoring experiment (E4) also uses it as the unit cost of one
-// per-node poll in the centralized-collection baseline, and the
-// peer-lifecycle supervisor uses it as the heartbeat probe.
+// per-node poll in the centralized-collection baseline.
 func (p *Proxy) PingPeer(ctx context.Context, site string) error {
 	pr, err := p.peerBySite(site)
 	if err != nil {
 		return err
 	}
+	return p.pingPeer(ctx, pr)
+}
+
+// pingPeer round-trips one probe over pr; the connection cache uses it
+// as the heartbeat of configured peers.
+func (p *Proxy) pingPeer(ctx context.Context, pr *peer) error {
 	//lint:allow-wallclock nonce entropy, not a timestamp; a frozen test clock would repeat nonces
 	nonce := uint64(time.Now().UnixNano())
 	reply, err := p.callPeer(ctx, pr, &proto.Ping{Nonce: nonce})
@@ -661,7 +607,7 @@ func (p *Proxy) PingPeer(ctx context.Context, site string) error {
 	}
 	pong, ok := reply.(*proto.Pong)
 	if !ok || pong.Nonce != nonce {
-		return fmt.Errorf("core: bad pong from %s", site)
+		return fmt.Errorf("core: bad pong from %s", pr.site)
 	}
 	return nil
 }

@@ -105,17 +105,15 @@ type Config struct {
 	TicketSkew time.Duration
 	// Policy is the placement policy; nil means balance.LeastLoaded.
 	Policy balance.Policy
-	// Lifecycle carries the peer-link supervision knobs (backoff,
-	// heartbeats, RPC deadlines, status cache TTL). The zero value uses
-	// peerlink defaults; see peerlink.Config.
+	// Lifecycle carries the peer-layer knobs: the connection cache (max
+	// live tunnels, idle close, breaker and redial window), heartbeats of
+	// configured peers, RPC deadlines and the status cache TTL. The zero
+	// value uses peerlink defaults; see peerlink.Config.
 	Lifecycle peerlink.Config
 	// Gossip carries the membership gossip knobs (round interval,
 	// fanout, suspicion timing). The zero value uses the GossipConfig
 	// defaults; a negative Interval disables the gossip loop.
 	Gossip GossipConfig
-	// PeerCache carries the connection-cache knobs (max live tunnels,
-	// idle close). The zero value uses peerlink.CacheConfig defaults.
-	PeerCache peerlink.CacheConfig
 	// Jobs carries the job-lifecycle fault-tolerance knobs (orphan
 	// grace, terminal-record TTL, reschedule budget). The zero value
 	// uses the JobConfig defaults.
@@ -179,7 +177,6 @@ type Proxy struct {
 	spliceListener net.Listener
 
 	mu      sync.Mutex
-	links   map[string]*peerlink.Link
 	nodes   map[string]NodeHandle
 	apps    map[string]*addressSpace
 	jobs    map[string]*jobState
@@ -217,7 +214,7 @@ func New(cfg Config) (*Proxy, error) {
 	lifecycle.Metrics = cfg.Metrics
 	lifecycle.Logger = cfg.Logger.Named("peerlink." + cfg.Site)
 	//lint:allow-background the proxy IS the lifecycle root: every peer
-	// link, job, and handler context in the process derives from this one,
+	// session, job, and handler context in the process derives from this one,
 	// and Close cancels it.
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Proxy{
@@ -240,7 +237,6 @@ func New(cfg Config) (*Proxy, error) {
 		stagecfg:  cfg.Stage.WithDefaults(),
 		tunnelcfg: cfg.Tunnel,
 		bondReg:   tunnel.NewBondRegistry(),
-		links:     make(map[string]*peerlink.Link),
 		nodes:     make(map[string]NodeHandle),
 		apps:      make(map[string]*addressSpace),
 		jobs:      make(map[string]*jobState),
@@ -266,9 +262,7 @@ func New(cfg Config) (*Proxy, error) {
 		Metrics:           cfg.Metrics,
 		Logger:            cfg.Logger.Named("member." + cfg.Site),
 	})
-	cachecfg := cfg.PeerCache
-	cachecfg.Metrics = cfg.Metrics
-	p.cache = peerlink.NewCache[*peer](cachecfg, p.dialOnDemand, p.evictPeer)
+	p.cache = peerlink.NewCache[*peer](p.lifecycle, cfg.Site, p.dialPeer, p.pingPeer, p.evictPeer)
 	p.sched = scheduler.New(policy, scheduler.NodeSourceFunc(p.Candidates))
 	if cfg.TGS != nil && cfg.TicketKey != nil {
 		p.validator = ticket.NewValidator(ServiceName(cfg.Site), cfg.TicketKey, cfg.Metrics).

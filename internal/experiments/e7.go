@@ -29,8 +29,8 @@ type E7Row struct {
 	// survivors immediately after detection.
 	PlacementOK bool
 	// Reconnect is how long after the dead site restarted (at the same
-	// addresses) the survivor's supervised link re-established peering
-	// and re-learned the full inventory — with no operator action.
+	// addresses) the survivor's redial of the pinned site re-established
+	// peering and re-learned the full inventory — with no operator action.
 	Reconnect time.Duration
 	// RecoveredOK reports whether the full pre-failure inventory came
 	// back after the restart.
@@ -52,8 +52,9 @@ func DefaultE7() E7Config {
 // takes. The paper: "This distributed control reduces the effect of
 // failures on a given site or proxy." Expected shape: the surviving
 // fraction of schedulable nodes equals (sites-1)/sites, new placements
-// keep succeeding, and after the restart the supervised peer links
-// re-establish the full grid without operator action.
+// keep succeeding, and after the restart the survivor's connection
+// cache redials the pinned peer and re-establishes the full grid without
+// operator action.
 func E7(cfg E7Config) ([]E7Row, error) {
 	var rows []E7Row
 	for _, shape := range cfg.Shapes {
@@ -69,12 +70,14 @@ func E7(cfg E7Config) ([]E7Row, error) {
 func runE7Shape(sitesCount, nodesPerSite int) (E7Row, error) {
 	tbCfg := site.TestbedConfig{
 		GridName: "e7",
-		// Fast backoff so the post-restart reconnect measurement reflects
-		// the supervisor, not a long default backoff; heartbeats off so
-		// detection measures the session-death path alone.
+		// A short backoff window so the post-restart reconnect measures
+		// the pinned peer's redial, not the 500ms default window: the
+		// survivor redials the lost site 20ms after the loss, then at
+		// doubling waits capped at 500ms. Heartbeats off so detection
+		// measures the session-death path alone.
 		Lifecycle: peerlink.Config{
-			BackoffMin:        20 * time.Millisecond,
-			BackoffMax:        500 * time.Millisecond,
+			BreakerMinOpen:    20 * time.Millisecond,
+			BreakerMaxOpen:    500 * time.Millisecond,
 			HeartbeatInterval: -1,
 		},
 	}
@@ -120,8 +123,8 @@ func runE7Shape(sitesCount, nodesPerSite int) (E7Row, error) {
 	}
 
 	// Recovery: boot a replacement site at the same addresses and time
-	// how long the survivor's supervised link takes to redial, re-peer,
-	// and restore the full inventory — no operator reconnect.
+	// how long the survivor's redial of the pinned site takes to
+	// re-peer and restore the full inventory — no operator reconnect.
 	restart := time.Now()
 	var reconnect time.Duration
 	recoveredOK := false
@@ -158,7 +161,7 @@ func runE7Shape(sitesCount, nodesPerSite int) (E7Row, error) {
 func E7Table(rows []E7Row) Table {
 	t := Table{
 		Title:  "E7 — failure containment: one proxy dies, then restarts",
-		Claim:  "distributed control limits a proxy failure to its own site's resources; supervised links restore the grid unattended",
+		Claim:  "distributed control limits a proxy failure to its own site's resources; pinned peers are redialed and restore the grid unattended",
 		Header: []string{"sites", "nodes/site", "nodes_before", "nodes_after", "surviving_frac", "expected_frac", "detection", "placement_ok", "reconnect", "recovered_ok"},
 	}
 	for _, r := range rows {

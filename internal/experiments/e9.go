@@ -70,11 +70,11 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 	tbCfg := site.TestbedConfig{
 		GridName: "e9",
 		Metrics:  reg,
-		// Fast backoff, heartbeats off: detection is the session-death
-		// path, as in E7.
+		// Fast redial window, heartbeats off: detection is the
+		// session-death path, as in E7.
 		Lifecycle: peerlink.Config{
-			BackoffMin:        20 * time.Millisecond,
-			BackoffMax:        500 * time.Millisecond,
+			BreakerMinOpen:    20 * time.Millisecond,
+			BreakerMaxOpen:    500 * time.Millisecond,
 			HeartbeatInterval: -1,
 		},
 	}

@@ -1,9 +1,10 @@
 // Package clockinject implements the gridlint analyzer that keeps
 // wall-clock reads out of the packages that plumb an injected clock.
 //
-// gate, core, ticket, membership and site all take a `func() time.Time`
-// (or a Clock config field) precisely so tests can drive expiry, sweeps
-// and suspicion timers deterministically; PR 7 showed the subtlest
+// gate, core, ticket, membership, peerlink and site all take a
+// `func() time.Time` (or a Clock/Now config field) precisely so tests can
+// drive expiry, sweeps, suspicion timers, breaker windows and redials
+// deterministically; PR 7 showed the subtlest
 // control-plane bugs are clock discipline. A stray `time.Now()` in such
 // a package silently splits time in two: half the logic follows the fake
 // clock, half the wall, and the test that would have caught an eviction
@@ -38,6 +39,7 @@ var ClockedPackages = map[string]bool{
 	"core":       true,
 	"gate":       true,
 	"membership": true,
+	"peerlink":   true,
 	"site":       true,
 	"ticket":     true,
 }

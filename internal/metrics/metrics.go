@@ -224,19 +224,12 @@ const (
 	// the control (priority) lane.
 	TunnelBatchControl = "tunnel.batch.control"
 
-	// Peer-lifecycle gauges: how many supervised links currently occupy
-	// each state of the machine (see internal/peerlink).
-	PeersConnecting  = "gauge.peer.connecting"
-	PeersEstablished = "gauge.peer.established"
-	PeersDegraded    = "gauge.peer.degraded"
-	PeersBackoff     = "gauge.peer.backoff"
-	// PeerTransitions counts state-machine transitions across all links.
-	PeerTransitions = "peer.transitions"
-	// PeerReconnects counts sessions re-established after a loss.
+	// PeerReconnects counts pinned (configured) sites whose session was
+	// restored after a loss, whoever dialed the new one.
 	PeerReconnects = "peer.reconnects"
-	// PeerRedialFailures counts dial attempts that failed.
+	// PeerRedialFailures counts redials of pinned sites that failed.
 	PeerRedialFailures = "peer.redial_failures"
-	// PeerHeartbeats counts heartbeat probes sent.
+	// PeerHeartbeats counts heartbeat probes sent to pinned sessions.
 	PeerHeartbeats = "peer.heartbeats"
 	// PeerHeartbeatMisses counts probes that failed or timed out.
 	PeerHeartbeatMisses = "peer.heartbeat_misses"

@@ -3,7 +3,6 @@ package peerlink
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"gridproxy/internal/metrics"
@@ -51,8 +50,9 @@ func (c *Cache[T]) breakerAllowLocked(site string) error {
 }
 
 // breakerRecord feeds a dial outcome to site's breaker. Successes clear
-// it; the BreakerThreshold'th consecutive failure opens it for
-// BreakerMinOpen doubled per consecutive open, capped at BreakerMaxOpen.
+// it; the BreakerThreshold'th consecutive failure opens it for the next
+// backoff window (Config.window: BreakerMinOpen doubled per consecutive
+// open, capped at BreakerMaxOpen).
 func (c *Cache[T]) breakerRecord(site string, ok bool) {
 	if c.cfg.BreakerThreshold < 0 {
 		return
@@ -74,14 +74,6 @@ func (c *Cache[T]) breakerRecord(site string, ok bool) {
 	}
 	b.failures = 0
 	b.opens++
-	window := c.cfg.BreakerMinOpen
-	for i := 1; i < b.opens && window < c.cfg.BreakerMaxOpen; i++ {
-		window *= 2
-	}
-	if window > c.cfg.BreakerMaxOpen {
-		window = c.cfg.BreakerMaxOpen
-	}
-	window = time.Duration(float64(window) * (1 + 0.2*(2*rand.Float64()-1)))
-	b.openUntil = c.cfg.Now().Add(window)
+	b.openUntil = c.cfg.Now().Add(c.cfg.window(b.opens - 1))
 	c.cfg.Metrics.Counter(metrics.PeerBreakerOpens).Inc()
 }

@@ -28,12 +28,12 @@ func (c *breakerClock) Advance(d time.Duration) {
 
 func newBreakerCache(t *testing.T, d *countingDialer, clock *breakerClock) *Cache[*cacheSession] {
 	t.Helper()
-	c := NewCache[*cacheSession](CacheConfig{
+	c := NewCache[*cacheSession](Config{
 		BreakerThreshold: 3,
 		BreakerMinOpen:   time.Second,
 		BreakerMaxOpen:   4 * time.Second,
 		Now:              clock.Now,
-	}, d.dial, nil)
+	}, "local", d.dial, nil, nil)
 	t.Cleanup(c.CloseAll)
 	return c
 }
@@ -135,7 +135,7 @@ func TestBreakerResetOnInboundSession(t *testing.T) {
 	// The "unreachable" site dialed US: adopting its session clears the
 	// breaker, so after that session dies a fresh dial is admitted
 	// immediately.
-	if !c.Add("far", newCacheSession("far"), false) {
+	if !c.Add("far", newCacheSession("far")) {
 		t.Fatal("Add refused")
 	}
 	c.Drop("far")
@@ -148,10 +148,10 @@ func TestBreakerDisabled(t *testing.T) {
 	d := newCountingDialer()
 	d.fail["far"] = errors.New("connection refused")
 	clock := &breakerClock{now: time.Unix(1000, 0)}
-	c := NewCache[*cacheSession](CacheConfig{
+	c := NewCache[*cacheSession](Config{
 		BreakerThreshold: -1,
 		Now:              clock.Now,
-	}, d.dial, nil)
+	}, "local", d.dial, nil, nil)
 	t.Cleanup(c.CloseAll)
 	for i := 0; i < 10; i++ {
 		if _, err := c.Get(context.Background(), "far"); errors.Is(err, ErrCircuitOpen) {

@@ -44,7 +44,7 @@ func newCountingDialer() *countingDialer {
 	return &countingDialer{dials: make(map[string]int), fail: make(map[string]error)}
 }
 
-func (d *countingDialer) dial(_ context.Context, site string) (*cacheSession, error) {
+func (d *countingDialer) dial(_ context.Context, site, _ string) (*cacheSession, error) {
 	d.mu.Lock()
 	d.dials[site]++
 	err := d.fail[site]
@@ -63,7 +63,7 @@ func (d *countingDialer) count(site string) int {
 
 func TestCacheDialsOnDemandOnce(t *testing.T) {
 	d := newCountingDialer()
-	c := NewCache[*cacheSession](CacheConfig{}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{}, "local", d.dial, nil, nil)
 	ctx := context.Background()
 	s1, err := c.Get(ctx, "siteb")
 	if err != nil {
@@ -84,12 +84,12 @@ func TestCacheDialsOnDemandOnce(t *testing.T) {
 func TestCacheSingleflight(t *testing.T) {
 	var dials atomic.Int32
 	release := make(chan struct{})
-	dial := func(ctx context.Context, site string) (*cacheSession, error) {
+	dial := func(ctx context.Context, site, _ string) (*cacheSession, error) {
 		dials.Add(1)
 		<-release
 		return newCacheSession(site), nil
 	}
-	c := NewCache[*cacheSession](CacheConfig{}, dial, nil)
+	c := NewCache[*cacheSession](Config{}, "local", dial, nil, nil)
 	const callers = 8
 	var wg sync.WaitGroup
 	sessions := make([]*cacheSession, callers)
@@ -130,8 +130,8 @@ func TestCacheLRUEviction(t *testing.T) {
 		return now
 	}
 	var evictedSites []string
-	c := NewCache[*cacheSession](CacheConfig{MaxTunnels: 2, Now: clock, Metrics: reg},
-		d.dial, func(site string, s *cacheSession) {
+	c := NewCache[*cacheSession](Config{MaxTunnels: 2, Now: clock, Metrics: reg},
+		"local", d.dial, nil, func(site string, s *cacheSession) {
 			mu.Lock()
 			evictedSites = append(evictedSites, site)
 			mu.Unlock()
@@ -164,10 +164,13 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePinnedExemptFromEviction(t *testing.T) {
 	d := newCountingDialer()
-	c := NewCache[*cacheSession](CacheConfig{MaxTunnels: 1}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{MaxTunnels: 1}, "local", d.dial, nil, nil)
 	pinned := newCacheSession("boot")
-	c.Put("boot", pinned, true)
 	ctx := context.Background()
+	c.Add("boot", pinned)
+	if err := c.Pin(ctx, "boot", "boot.addr"); err != nil {
+		t.Fatal(err)
+	}
 	sa, _ := c.Get(ctx, "sitea")
 	c.Release("sitea", sa)
 	c.Get(ctx, "siteb") // evicts sitea, never boot
@@ -188,11 +191,14 @@ func TestCacheIdleSweep(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	c := NewCache[*cacheSession](CacheConfig{IdleClose: 10 * time.Second, Now: clock, Metrics: reg}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{IdleClose: 10 * time.Second, Now: clock, Metrics: reg}, "local", d.dial, nil, nil)
 	s, _ := c.Get(context.Background(), "sitea")
 	c.Release("sitea", s)
 	pinned := newCacheSession("boot")
-	c.Put("boot", pinned, true)
+	c.Add("boot", pinned)
+	if err := c.Pin(context.Background(), "boot", "boot.addr"); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	now = now.Add(11 * time.Second)
 	mu.Unlock()
@@ -223,7 +229,7 @@ func TestCacheCheckedOutNotEvicted(t *testing.T) {
 		now = now.Add(time.Second)
 		return now
 	}
-	c := NewCache[*cacheSession](CacheConfig{MaxTunnels: 1, IdleClose: 10 * time.Second, Now: clock}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{MaxTunnels: 1, IdleClose: 10 * time.Second, Now: clock}, "local", d.dial, nil, nil)
 	ctx := context.Background()
 	sa, _ := c.Get(ctx, "sitea")
 	sb, _ := c.Get(ctx, "siteb") // over cap, but sitea is checked out
@@ -263,7 +269,7 @@ func TestCacheCheckedOutNotEvicted(t *testing.T) {
 
 func TestCacheDropLeavesSessionOpen(t *testing.T) {
 	d := newCountingDialer()
-	c := NewCache[*cacheSession](CacheConfig{}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{}, "local", d.dial, nil, nil)
 	s, _ := c.Get(context.Background(), "sitea")
 	c.Drop("sitea")
 	if c.Has("sitea") {
@@ -283,7 +289,7 @@ func TestCacheDialFailureNotCached(t *testing.T) {
 	d := newCountingDialer()
 	boom := errors.New("down")
 	d.fail["sitea"] = boom
-	c := NewCache[*cacheSession](CacheConfig{}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{}, "local", d.dial, nil, nil)
 	if _, err := c.Get(context.Background(), "sitea"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -300,16 +306,17 @@ func TestCacheDialFailureNotCached(t *testing.T) {
 
 func TestCacheCloseAllRefusesInserts(t *testing.T) {
 	d := newCountingDialer()
-	c := NewCache[*cacheSession](CacheConfig{}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{}, "local", d.dial, nil, nil)
 	s, _ := c.Get(context.Background(), "sitea")
 	c.CloseAll()
 	if !s.closed.Load() {
 		t.Fatal("CloseAll left a session open")
 	}
-	late := newCacheSession("siteb")
-	c.Put("siteb", late, false)
-	if !late.closed.Load() {
-		t.Fatal("Put after CloseAll adopted a session instead of closing it")
+	if c.Add("siteb", newCacheSession("siteb")) || c.Has("siteb") {
+		t.Fatal("Add after CloseAll adopted a session")
+	}
+	if err := c.Pin(context.Background(), "sitec", "sitec.addr"); err == nil {
+		t.Fatal("Pin after CloseAll succeeded")
 	}
 	if _, err := c.Get(context.Background(), "sitec"); err == nil {
 		t.Fatal("Get after CloseAll succeeded")
@@ -323,7 +330,7 @@ func TestCacheCloseAllRefusesInserts(t *testing.T) {
 func TestFanOutUnderMembershipChurn(t *testing.T) {
 	base := runtime.NumGoroutine()
 	d := newCountingDialer()
-	c := NewCache[*cacheSession](CacheConfig{MaxTunnels: 4}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{MaxTunnels: 4}, "local", d.dial, nil, nil)
 
 	sites := make([]string, 16)
 	for i := range sites {
@@ -350,7 +357,9 @@ func TestFanOutUnderMembershipChurn(t *testing.T) {
 						c.Release(site, s)
 					}
 				case 1:
-					c.Put(site, newCacheSession(site), false)
+					if s := newCacheSession(site); !c.Add(site, s) {
+						_ = s.Close()
+					}
 				case 2:
 					c.Drop(site)
 				}
@@ -407,7 +416,7 @@ func TestFanOutUnderMembershipChurn(t *testing.T) {
 // call but cannot panic or disturb the other targets.
 func TestFanOutTargetsRemovedMidFlight(t *testing.T) {
 	d := newCountingDialer()
-	c := NewCache[*cacheSession](CacheConfig{}, d.dial, nil)
+	c := NewCache[*cacheSession](Config{}, "local", d.dial, nil, nil)
 	targets := []string{"sitea", "siteb", "sitec"}
 	for _, s := range targets {
 		if _, err := c.Get(context.Background(), s); err != nil {

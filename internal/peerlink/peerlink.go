@@ -1,123 +1,47 @@
-// Package peerlink implements the supervised lifecycle of proxy-to-proxy
-// links. The paper routes all inter-site control through the site-border
-// proxies, which makes the peer link the grid's availability unit: a
-// dropped link must come back without operator action, and a slow link
-// must be noticed before it stalls the control plane.
+// Package peerlink keeps proxy-to-proxy sessions. The paper routes all
+// inter-site control through the site-border proxies, which makes the
+// peer session the grid's availability unit: a dropped session to a
+// configured peer must come back without operator action, and a hung
+// one must be noticed before it stalls the control plane.
 //
-// Each configured peer gets one Link driven by a supervisor goroutine
-// through an explicit state machine:
-//
-//	Connecting -> Established <-> Degraded
-//	     ^            |
-//	     |            v (session death, or too many missed heartbeats)
-//	     +-------- Backoff            (redial with exponential backoff+jitter)
-//	                                  Closed (supervisor context cancelled)
+// One manager does both jobs: the connection Cache. It dials sites on
+// demand, evicts idle and least-recently-used sessions, and guards each
+// site with a circuit breaker. A configured peer is a pin in the cache:
+// its entry is exempt from eviction, its loss schedules a redial at the
+// configured address on the breaker's backoff window, and the cache's
+// janitor heartbeats it.
 //
 // The package deliberately knows nothing about the proxy: the owner
-// supplies a DialFunc that establishes a Session and a ProbeFunc that
-// round-trips a heartbeat, so the same supervisor is testable with fakes.
+// supplies the dial, probe and eviction hooks, so the cache is testable
+// with fakes.
 package peerlink
 
 import (
-	"context"
 	"math/rand"
-	"sync"
 	"time"
 
 	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 )
 
-// State is one phase of a supervised link's lifecycle.
-type State uint32
-
-// Lifecycle states, in the order a healthy link visits them.
-const (
-	// StateConnecting: the supervisor is dialing the peer.
-	StateConnecting State = iota
-	// StateEstablished: the session is up and heartbeats are healthy.
-	StateEstablished
-	// StateDegraded: the session is up but heartbeats are failing; the
-	// peer is demoted before the TCP session dies.
-	StateDegraded
-	// StateBackoff: the last dial or session failed; the supervisor is
-	// waiting out a backoff delay before redialing.
-	StateBackoff
-	// StateClosed: the supervisor has exited (proxy shutdown).
-	StateClosed
-)
-
-// String renders the state for logs and status pages.
-func (s State) String() string {
-	switch s {
-	case StateConnecting:
-		return "connecting"
-	case StateEstablished:
-		return "established"
-	case StateDegraded:
-		return "degraded"
-	case StateBackoff:
-		return "backoff"
-	case StateClosed:
-		return "closed"
-	default:
-		return "unknown"
-	}
-}
-
-// gaugeName maps a state to its occupancy gauge, or "" for states that
-// are not gauged (Closed).
-func gaugeName(s State) string {
-	switch s {
-	case StateConnecting:
-		return metrics.PeersConnecting
-	case StateEstablished:
-		return metrics.PeersEstablished
-	case StateDegraded:
-		return metrics.PeersDegraded
-	case StateBackoff:
-		return metrics.PeersBackoff
-	default:
-		return ""
-	}
-}
-
-// Session is the supervised connection. The supervisor watches Done to
-// detect death and calls Close to tear an unresponsive session down.
+// Session is a cached connection. The owner watches Done to detect death
+// and calls the cache's Drop/DropIf; the cache calls Close to tear a
+// session down.
 type Session interface {
 	Done() <-chan struct{}
 	Close() error
 }
 
-// DialFunc establishes (or adopts) the link's session once. It must
-// honour ctx cancellation and deadlines.
-type DialFunc func(ctx context.Context) (Session, error)
-
-// ProbeFunc round-trips one heartbeat over the current session. It must
-// honour ctx; an error (including a deadline) counts as a miss.
-type ProbeFunc func(ctx context.Context) error
-
-// Config carries every peer-lifecycle knob. The zero value means "use
+// Config carries every peer-layer knob. The zero value means "use
 // defaults"; negative durations disable the corresponding behaviour.
 type Config struct {
-	// BackoffMin is the delay before the first redial (default 200ms).
-	BackoffMin time.Duration
-	// BackoffMax caps the exponential backoff (default 15s).
-	BackoffMax time.Duration
-	// BackoffFactor is the per-attempt growth factor (default 2).
-	BackoffFactor float64
-	// Jitter is the ± fraction applied to every backoff delay so a
-	// rebooted grid does not redial in lockstep (default 0.2).
-	Jitter float64
-	// DialTimeout bounds one dial+handshake attempt (default 10s).
-	DialTimeout time.Duration
-	// HeartbeatInterval is the probe period (default 3s; negative
-	// disables heartbeats).
+	// HeartbeatInterval is the probe period for pinned sessions (default
+	// 3s; negative disables heartbeats).
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout bounds one probe (default 1s).
 	HeartbeatTimeout time.Duration
-	// HeartbeatMisses is how many consecutive probe failures tear the
-	// session down for redial; fewer only demote to Degraded (default 3).
+	// HeartbeatMisses is how many consecutive probe failures close a
+	// pinned session for redial (default 3).
 	HeartbeatMisses int
 	// RPCTimeout is the default deadline applied to control-plane calls
 	// that arrive without one (default 10s; negative disables).
@@ -132,6 +56,28 @@ type Config struct {
 	// Default 0: every directory-served read counts as a miss.
 	StatusTTL time.Duration
 
+	// MaxTunnels caps the number of live unpinned sessions; inserting
+	// past the cap evicts the least-recently-used one (default 32;
+	// negative: unlimited).
+	MaxTunnels int
+	// IdleClose closes unpinned sessions unused for this long (default
+	// 2m; negative disables).
+	IdleClose time.Duration
+	// SweepEvery is the idle janitor's period (default IdleClose/4).
+	SweepEvery time.Duration
+	// BreakerThreshold is how many consecutive dial failures to a site
+	// open its circuit breaker (default 3; negative disables breakers).
+	BreakerThreshold int
+	// BreakerMinOpen is the first backoff window (default 500ms): the
+	// first breaker open and the first redial of a lost pinned site.
+	// Later windows double, ±20% jitter.
+	BreakerMinOpen time.Duration
+	// BreakerMaxOpen caps the backoff window (default 30s).
+	BreakerMaxOpen time.Duration
+
+	// Now supplies time for breaker, redial and heartbeat deadlines; nil
+	// means time.Now (tests inject clocks).
+	Now func() time.Time
 	// Metrics may be nil.
 	Metrics *metrics.Registry
 	// Logger may be nil.
@@ -140,36 +86,24 @@ type Config struct {
 
 // Default knob values.
 const (
-	DefaultBackoffMin        = 200 * time.Millisecond
-	DefaultBackoffMax        = 15 * time.Second
-	DefaultBackoffFactor     = 2.0
-	DefaultJitter            = 0.2
-	DefaultDialTimeout       = 10 * time.Second
 	DefaultHeartbeatInterval = 3 * time.Second
 	DefaultHeartbeatTimeout  = time.Second
 	DefaultHeartbeatMisses   = 3
 	DefaultRPCTimeout        = 10 * time.Second
 	DefaultHelloTimeout      = 10 * time.Second
+	DefaultMaxTunnels        = 32
+	DefaultIdleClose         = 2 * time.Minute
+	DefaultBreakerThreshold  = 3
+	DefaultBreakerMinOpen    = 500 * time.Millisecond
+	DefaultBreakerMaxOpen    = 30 * time.Second
 )
+
+// dialTimeout bounds one redial of a pinned site (dial and handshake).
+const dialTimeout = 10 * time.Second
 
 // WithDefaults fills zero fields with defaults. Negative durations are
 // kept (they mean "disabled").
 func (c Config) WithDefaults() Config {
-	if c.BackoffMin == 0 {
-		c.BackoffMin = DefaultBackoffMin
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = DefaultBackoffMax
-	}
-	if c.BackoffFactor <= 1 {
-		c.BackoffFactor = DefaultBackoffFactor
-	}
-	if c.Jitter < 0 || c.Jitter >= 1 {
-		c.Jitter = DefaultJitter
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = DefaultDialTimeout
-	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = DefaultHeartbeatInterval
 	}
@@ -185,257 +119,45 @@ func (c Config) WithDefaults() Config {
 	if c.HelloTimeout <= 0 {
 		c.HelloTimeout = DefaultHelloTimeout
 	}
+	if c.MaxTunnels == 0 {
+		c.MaxTunnels = DefaultMaxTunnels
+	}
+	if c.IdleClose == 0 {
+		c.IdleClose = DefaultIdleClose
+	}
+	if c.SweepEvery <= 0 {
+		if c.IdleClose > 0 {
+			c.SweepEvery = c.IdleClose / 4
+		} else {
+			c.SweepEvery = 30 * time.Second
+		}
+	}
+	if c.BreakerThreshold == 0 {
+		c.BreakerThreshold = DefaultBreakerThreshold
+	}
+	if c.BreakerMinOpen <= 0 {
+		c.BreakerMinOpen = DefaultBreakerMinOpen
+	}
+	if c.BreakerMaxOpen <= 0 {
+		c.BreakerMaxOpen = DefaultBreakerMaxOpen
+	}
+	if c.Now == nil {
+		c.Now = time.Now
+	}
 	return c
 }
 
-// Link supervises one peer connection.
-type Link struct {
-	site  string
-	cfg   Config
-	dial  DialFunc
-	probe ProbeFunc
-	log   *logging.Logger
-
-	mu          sync.Mutex
-	state       State
-	sess        Session
-	established int64 // successful dials over the link's lifetime
-
-	kick chan struct{}
-}
-
-// New builds a supervised link for site. Run must be called to start it.
-// cfg should already carry the owner's Metrics/Logger; defaults are
-// applied here.
-func New(site string, cfg Config, dial DialFunc, probe ProbeFunc) *Link {
-	cfg = cfg.WithDefaults()
-	l := &Link{
-		site:  site,
-		cfg:   cfg,
-		dial:  dial,
-		probe: probe,
-		log:   cfg.Logger.Named("link." + site),
-		state: StateConnecting,
-		kick:  make(chan struct{}, 1),
+// window is the n-th backoff window (n from 0): BreakerMinOpen·2ⁿ,
+// capped at BreakerMaxOpen, ±20% jitter so a fleet of proxies does not
+// retest a recovering site in lockstep. Breaker opens and pinned-site
+// redials both wait it out.
+func (c Config) window(n int) time.Duration {
+	w := c.BreakerMinOpen
+	for i := 0; i < n && w < c.BreakerMaxOpen; i++ {
+		w *= 2
 	}
-	cfg.Metrics.Gauge(gaugeName(StateConnecting)).Add(1)
-	return l
-}
-
-// Site returns the peer site this link supervises.
-func (l *Link) Site() string { return l.site }
-
-// State returns the link's current lifecycle state.
-func (l *Link) State() State {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.state
-}
-
-// Reconnects returns how many times the link was re-established after a
-// loss (successful dials minus the first).
-func (l *Link) Reconnects() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.established <= 1 {
-		return 0
+	if w > c.BreakerMaxOpen {
+		w = c.BreakerMaxOpen
 	}
-	return l.established - 1
-}
-
-// Kick wakes the supervisor out of a backoff sleep for an immediate
-// redial (e.g. the operator healed the network and wants the link now).
-func (l *Link) Kick() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-}
-
-// setState moves the state machine, maintaining the occupancy gauges and
-// the transition counter.
-func (l *Link) setState(to State) {
-	l.mu.Lock()
-	from := l.state
-	if from == to {
-		l.mu.Unlock()
-		return
-	}
-	l.state = to
-	l.mu.Unlock()
-	reg := l.cfg.Metrics
-	if g := gaugeName(from); g != "" {
-		reg.Gauge(g).Add(-1)
-	}
-	if g := gaugeName(to); g != "" {
-		reg.Gauge(g).Add(1)
-	}
-	reg.Counter(metrics.PeerTransitions).Inc()
-	l.log.Debug("peer link state", "from", from.String(), "to", to.String())
-}
-
-// backoff computes the delay before redial attempt n (0-based), with
-// exponential growth, a cap, and ± jitter.
-func (l *Link) backoff(attempt int) time.Duration {
-	d := float64(l.cfg.BackoffMin)
-	for i := 0; i < attempt; i++ {
-		d *= l.cfg.BackoffFactor
-		if d >= float64(l.cfg.BackoffMax) {
-			d = float64(l.cfg.BackoffMax)
-			break
-		}
-	}
-	if d > float64(l.cfg.BackoffMax) {
-		d = float64(l.cfg.BackoffMax)
-	}
-	if j := l.cfg.Jitter; j > 0 {
-		d *= 1 + j*(2*rand.Float64()-1)
-	}
-	return time.Duration(d)
-}
-
-// sleep waits out a backoff delay; a Kick or context cancellation cuts it
-// short. It reports whether the supervisor should keep running.
-func (l *Link) sleep(ctx context.Context, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-l.kick:
-	case <-ctx.Done():
-		return false
-	}
-	return ctx.Err() == nil
-}
-
-// Run drives the link until ctx is cancelled. It blocks; the owner runs
-// it in a goroutine.
-func (l *Link) Run(ctx context.Context) {
-	defer func() {
-		l.mu.Lock()
-		sess := l.sess
-		l.sess = nil
-		l.mu.Unlock()
-		if sess != nil {
-			_ = sess.Close()
-		}
-		l.setState(StateClosed)
-	}()
-
-	attempt := 0
-	for ctx.Err() == nil {
-		l.setState(StateConnecting)
-		sess, err := l.dialOnce(ctx)
-		if err != nil {
-			l.cfg.Metrics.Counter(metrics.PeerRedialFailures).Inc()
-			delay := l.backoff(attempt)
-			l.log.Debug("peer dial failed", "err", err, "retry_in", delay)
-			attempt++
-			l.setState(StateBackoff)
-			if !l.sleep(ctx, delay) {
-				return
-			}
-			continue
-		}
-		l.serveSession(ctx, sess, &attempt)
-	}
-}
-
-// dialOnce runs one dial attempt under its own timeout.
-func (l *Link) dialOnce(ctx context.Context) (Session, error) {
-	if l.cfg.DialTimeout > 0 {
-		dctx, cancel := context.WithTimeout(ctx, l.cfg.DialTimeout)
-		defer cancel()
-		return l.dial(dctx)
-	}
-	return l.dial(ctx)
-}
-
-// serveSession runs heartbeats over an established session until it dies,
-// then schedules the redial.
-func (l *Link) serveSession(ctx context.Context, sess Session, attempt *int) {
-	*attempt = 0
-	l.mu.Lock()
-	l.sess = sess
-	l.established++
-	reconnect := l.established > 1
-	l.mu.Unlock()
-	if reconnect {
-		l.cfg.Metrics.Counter(metrics.PeerReconnects).Inc()
-		l.log.Info("peer link re-established", "site", l.site)
-	}
-	l.setState(StateEstablished)
-
-	l.heartbeat(ctx, sess)
-
-	l.mu.Lock()
-	l.sess = nil
-	l.mu.Unlock()
-	if ctx.Err() != nil {
-		return
-	}
-	l.setState(StateBackoff)
-	l.sleep(ctx, l.backoff(0))
-}
-
-// heartbeat probes the session until it dies or ctx ends. Probe failures
-// demote the link to Degraded; HeartbeatMisses consecutive failures close
-// the session so the dial loop replaces it.
-func (l *Link) heartbeat(ctx context.Context, sess Session) {
-	if l.cfg.HeartbeatInterval <= 0 || l.probe == nil {
-		select {
-		case <-sess.Done():
-		case <-ctx.Done():
-		}
-		return
-	}
-	ticker := time.NewTicker(l.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	misses := 0
-	for {
-		select {
-		case <-sess.Done():
-			return
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		pctx := ctx
-		if l.cfg.HeartbeatTimeout > 0 {
-			var cancel context.CancelFunc
-			pctx, cancel = context.WithTimeout(ctx, l.cfg.HeartbeatTimeout)
-			err := l.probe(pctx)
-			cancel()
-			if !l.recordProbe(err, &misses, sess) {
-				return
-			}
-			continue
-		}
-		if !l.recordProbe(l.probe(pctx), &misses, sess) {
-			return
-		}
-	}
-}
-
-// recordProbe folds one probe result into the state machine. It reports
-// whether the session is still worth probing.
-func (l *Link) recordProbe(err error, misses *int, sess Session) bool {
-	reg := l.cfg.Metrics
-	reg.Counter(metrics.PeerHeartbeats).Inc()
-	if err == nil {
-		*misses = 0
-		l.setState(StateEstablished)
-		return true
-	}
-	*misses++
-	reg.Counter(metrics.PeerHeartbeatMisses).Inc()
-	if *misses >= l.cfg.HeartbeatMisses {
-		l.log.Warn("peer unresponsive; tearing session down for redial",
-			"site", l.site, "misses", *misses, "err", err)
-		_ = sess.Close()
-		return false
-	}
-	l.log.Debug("peer heartbeat missed", "site", l.site, "misses", *misses, "err", err)
-	l.setState(StateDegraded)
-	return true
+	return time.Duration(float64(w) * (1 + 0.2*(2*rand.Float64()-1)))
 }

@@ -159,6 +159,11 @@ const (
 	// re-authenticate and retry" from a hard StatusUnauthorized, so
 	// clients can recover transparently instead of failing the call.
 	StatusAuthExpired
+	// StatusDuplicate refuses the Hello of a crossing dial: both proxies
+	// dialed each other, and the refusing one keeps the session it
+	// dialed (the lexically lower site's). The dialer adopts that
+	// session; the refusal is not evidence against either site.
+	StatusDuplicate
 )
 
 // Code implements Body.

@@ -99,15 +99,13 @@ type TestbedConfig struct {
 	LANLatency time.Duration
 	// Policy is the placement policy name (default "least-loaded").
 	Policy string
-	// Lifecycle carries the peer-link supervision knobs handed to every
-	// proxy (zero value: peerlink defaults).
+	// Lifecycle carries the peer-layer knobs (connection cache, breaker
+	// and redial window, heartbeats, deadlines) handed to every proxy
+	// (zero value: peerlink defaults).
 	Lifecycle peerlink.Config
 	// Gossip carries the membership-gossip knobs handed to every proxy
 	// (zero value: core.GossipConfig defaults).
 	Gossip core.GossipConfig
-	// PeerCache carries the connection-cache knobs handed to every proxy
-	// (zero value: peerlink.CacheConfig defaults).
-	PeerCache peerlink.CacheConfig
 	// Jobs carries the job-lifecycle fault-tolerance knobs handed to
 	// every proxy (zero value: core.JobConfig defaults).
 	Jobs core.JobConfig
@@ -147,7 +145,6 @@ type Testbed struct {
 	policyName string
 	lifecycle  peerlink.Config
 	gossip     core.GossipConfig
-	peerCache  peerlink.CacheConfig
 	jobs       core.JobConfig
 	stage      stage.Config
 	tunnel     tunnel.Config
@@ -217,7 +214,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		policyName: policyName,
 		lifecycle:  cfg.Lifecycle,
 		gossip:     cfg.Gossip,
-		peerCache:  cfg.PeerCache,
 		jobs:       cfg.Jobs,
 		stage:      cfg.Stage,
 		tunnel:     cfg.Tunnel,
@@ -271,7 +267,6 @@ func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *logging.Logg
 		Policy:    policy,
 		Lifecycle: tb.lifecycle,
 		Gossip:    tb.gossip,
-		PeerCache: tb.peerCache,
 		Jobs:      tb.jobs,
 		Stage:     tb.stage,
 		Tunnel:    tunnelcfg,
@@ -309,8 +304,7 @@ func (tb *Testbed) Site(name string) *Site {
 // RestartSite tears one site down and rebuilds it from its original
 // spec — the testbed's "kill -9 the proxy host and boot a fresh one".
 // The new site listens on the same WAN and client addresses; peers that
-// supervise a link to it will redial and recover without operator
-// action. The returned Site replaces the old one in tb.Sites.
+// pinned it (Connect) will redial and recover without operator action. The returned Site replaces the old one in tb.Sites.
 func (tb *Testbed) RestartSite(name string) (*Site, error) {
 	spec, ok := tb.specs[name]
 	if !ok {
